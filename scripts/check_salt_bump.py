@@ -3,11 +3,12 @@
 
 The result cache (``repro.cache``) keys entries on the session spec
 plus a manual code-revision salt.  Any change under the directories
-that define what a session *computes* — ``src/repro/sim/``,
-``src/repro/core/``, ``src/repro/power/`` — can change the summary an
-unchanged spec produces, which would otherwise let stale cache entries
-masquerade as fresh results.  This script fails the build when such a
-change lands without a salt bump.
+that define what a session *computes* (:data:`WATCHED`: the simulator,
+the metering core, power, the graphics pipeline, apps, the display,
+governors, session assembly, inputs, traces and faults) can change the
+summary an unchanged spec produces, which would otherwise let stale
+cache entries masquerade as fresh results.  This script fails the
+build when such a change lands without a salt bump.
 
 Usage::
 
@@ -27,7 +28,19 @@ import subprocess
 import sys
 
 #: Directories whose changes alter what a cached session computes.
-WATCHED = ("src/repro/sim/", "src/repro/core/", "src/repro/power/")
+WATCHED = (
+    "src/repro/sim/",
+    "src/repro/core/",
+    "src/repro/power/",
+    "src/repro/graphics/",
+    "src/repro/apps/",
+    "src/repro/display/",
+    "src/repro/governors/",
+    "src/repro/pipeline/",
+    "src/repro/inputs/",
+    "src/repro/traces/",
+    "src/repro/faults/",
+)
 
 #: File holding the salt, and the assignment pattern inside it.
 SALT_FILE = "src/repro/cache.py"

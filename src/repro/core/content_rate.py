@@ -131,52 +131,74 @@ class ContentRateMeter:
         # (On the device the extra buffer would likewise be primed from
         # the live framebuffer when metering starts.)
         self._store.capture(framebuffer.pixels)
+        # Grid samples of the last judged frame: the comparison
+        # reference, so each judged frame is gathered once, not twice.
+        self._reference = self.grid.sample(framebuffer.pixels).reshape(
+            self.grid.sample_count, -1)
         framebuffer.add_update_listener(self._on_frame_update)
 
     # ------------------------------------------------------------------
     # Frame-update hook
     # ------------------------------------------------------------------
     def _on_frame_update(self, time: float, framebuffer: Framebuffer) -> None:
-        pixels = framebuffer.pixels
         self._frames.append(time)
-        previous = self._store.previous
         telemetry = self._telemetry
         if telemetry is None:
-            if framebuffer.last_write_unchanged:
-                # The compositor proved this update's pixels identical
-                # to the previous frame (coherence fast path): the
-                # comparison outcome is known — not meaningful — and
-                # the capture would re-store identical bytes.  Keep
-                # the accounting exactly as the full path would have
-                # left it: frames_equal would have bumped the
-                # comparison counter (count_changed does not), and the
-                # store charges the copy it conceptually performed.
-                if self.config.min_changed_cells == 1:
-                    self.comparator.note_equal()
-                self._store.note_redundant_capture()
-                return
             # The uninstrumented fast path: no clock reads, no
             # allocations beyond the comparison itself.
-            meaningful = self._frame_meaningful(pixels, previous)
-            if meaningful:
+            if self._frame_meaningful(framebuffer):
                 self._meaningful.append(time)
-            self._store.capture(pixels)
+            self._capture(framebuffer)
             return
         with telemetry.span(SPAN_GRID_COMPARE, time):
-            meaningful = self._frame_meaningful(pixels, previous)
+            meaningful = self._frame_meaningful(framebuffer)
         if meaningful:
             self._meaningful.append(time)
             telemetry.metrics.counter("meter.meaningful_frames").inc()
         telemetry.metrics.counter("meter.frames").inc()
         with telemetry.span(SPAN_BUFFER_COPY, time):
-            self._store.capture(pixels)
+            self._capture(framebuffer)
 
-    def _frame_meaningful(self, pixels, previous) -> bool:
-        """The frame-diff judgement (the grid-comparison hot path)."""
-        if self.config.min_changed_cells == 1:
-            return not self.comparator.frames_equal(pixels, previous)
-        changed = self.comparator.count_changed(pixels, previous)
-        return changed >= self.config.min_changed_cells
+    def _frame_meaningful(self, framebuffer: Framebuffer) -> bool:
+        """The frame-diff judgement (the grid-comparison hot path).
+
+        When the compositor proved the update's pixels identical to
+        the previous frame (``last_write_unchanged``), the outcome is
+        known — not meaningful — and the reference samples stay valid.
+        The accounting is left exactly as the comparison would have
+        left it: ``frames_equal`` bumps the comparison counter,
+        ``count_changed`` does not.  Otherwise the new frame is
+        gathered once and compared against the reference samples, and
+        its samples become the next reference.
+        """
+        comparator = self.comparator
+        threshold = self.config.min_changed_cells
+        if framebuffer.last_write_unchanged:
+            if threshold == 1:
+                comparator.note_equal()
+            return False
+        if threshold == 1:
+            meaningful = not comparator.frames_equal(framebuffer.pixels,
+                                                     self._reference)
+        else:
+            meaningful = comparator.count_changed(
+                framebuffer.pixels, self._reference) >= threshold
+        self._reference = comparator.last_samples
+        return meaningful
+
+    def _capture(self, framebuffer: Framebuffer) -> None:
+        """Store the judged frame for the next comparison.
+
+        A proven-unchanged frame is charged without moving bytes (the
+        store already holds it).  The sampled store takes the samples
+        the judgement just gathered instead of gathering again.
+        """
+        if framebuffer.last_write_unchanged:
+            self._store.note_redundant_capture()
+        elif isinstance(self._store, SampledDoubleBuffer):
+            self._store.capture_samples(self._reference)
+        else:
+            self._store.capture(framebuffer.pixels)
 
     # ------------------------------------------------------------------
     # Rates

@@ -83,7 +83,7 @@ class DoubleBuffer:
     def note_redundant_capture(self, count: int = 1) -> None:
         """Account for ``count`` captures identical to the stored frame.
 
-        The coherence fast path proves the new frame equals the stored
+        On a proven-unchanged update the new frame equals the stored
         previous one, so copying would re-store the same bytes; the
         capture still *counts* — including its bandwidth charge,
         because the real scheme would have performed the copy — and
@@ -139,14 +139,21 @@ class SampledDoubleBuffer:
 
     def capture(self, pixels: np.ndarray) -> None:
         """Sample ``pixels`` on the grid into the back slot and flip."""
+        self.capture_samples(self.grid.sample(pixels))
+
+    def capture_samples(self, samples: np.ndarray) -> None:
+        """Store already-gathered grid samples into the back slot and
+        flip — the same capture as :meth:`capture` without a second
+        gather.  ``samples`` is grid-shaped or flattened to
+        ``(sample_count, channels)``."""
         back = 1 - self._front
         slot = self._slots[back]
-        sampled = self.grid.sample(pixels)
-        if sampled.shape != slot.shape:
+        height, width, channels = slot.shape
+        if samples.shape not in (slot.shape, (height * width, channels)):
             raise MeteringError(
-                f"sampled shape {sampled.shape} does not match slot "
+                f"sampled shape {samples.shape} does not match slot "
                 f"shape {slot.shape}")
-        np.copyto(slot, sampled)
+        np.copyto(slot, samples.reshape(slot.shape))
         self._front = back
         self._captures += 1
         self._bytes_copied += slot.nbytes

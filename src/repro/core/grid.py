@@ -24,7 +24,7 @@ buffers restricted to those coordinates.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -39,36 +39,6 @@ PAPER_PIXEL_BUDGETS = {
     "36K": 144 * 256,
     "921K": 720 * 1280,
 }
-
-
-def gather_samples(pixels: np.ndarray, rows: np.ndarray,
-                   cols: np.ndarray,
-                   flat: "np.ndarray | None" = None) -> np.ndarray:
-    """Gather grid sample points from one buffer or a stacked batch.
-
-    The single implementation of the sample-point extraction: scalar
-    metering calls it with a ``(height, width, channels)`` buffer, the
-    vector engine with an ``(n, height, width, channels)`` stack — the
-    gather is the same expression either way, so the two paths cannot
-    drift.  Returns a materialised ``(..., gh, gw, channels)`` array
-    (never a view into the live buffer).
-
-    The gather runs as one :func:`numpy.take` over flattened
-    ``row * width + col`` indices — numpy's fast contiguous-gather
-    path, several times quicker than the equivalent outer fancy
-    indexing on small buffers, picking out exactly the same sample
-    pixels.  ``flat`` accepts the precomputed index vector
-    (:class:`GridSpec` caches it) so per-frame callers skip rebuilding
-    it.
-    """
-    width = pixels.shape[-2]
-    channels = pixels.shape[-1]
-    if flat is None:
-        flat = (rows[:, None] * width + cols[None, :]).ravel()
-    stacked = pixels.reshape(pixels.shape[:-3] + (-1, channels))
-    gathered = np.take(stacked, flat, axis=-2)
-    return gathered.reshape(pixels.shape[:-3]
-                            + (len(rows), len(cols), channels))
 
 
 class GridSpec:
@@ -105,7 +75,9 @@ class GridSpec:
             .astype(np.intp),
             width - 1)
         # Flattened row*width+col sample indices, precomputed once:
-        # the per-frame gather is a single np.take over these.
+        # the per-frame gather is a single np.take over these —
+        # numpy's fast contiguous-gather path, several times quicker
+        # than the equivalent outer fancy indexing on small buffers.
         self._flat = (self._rows[:, None] * width
                       + self._cols[None, :]).ravel()
 
@@ -188,27 +160,10 @@ class GridSpec:
         self._check_shape(pixels)
         if self.is_full:
             return pixels.copy()
-        return gather_samples(pixels, self._rows, self._cols,
-                              flat=self._flat)
-
-    def sample_batch(self, stack: np.ndarray) -> np.ndarray:
-        """Extract grid samples from ``n`` stacked buffers at once.
-
-        ``stack`` is ``(n, height, width, channels)`` — the vector
-        engine's struct-of-arrays view of ``n`` framebuffers; the
-        result is ``(n, grid_height, grid_width, channels)`` from a
-        single gather.  Row ``i`` is byte-identical to
-        ``sample(stack[i])``.
-        """
-        if stack.ndim != 4 or stack.shape[1:3] != self.buffer_shape:
-            raise MeteringError(
-                f"batch shape {stack.shape} does not match grid's "
-                f"expected (n, {self.buffer_shape[0]}, "
-                f"{self.buffer_shape[1]}, channels)")
-        if self.is_full:
-            return stack.copy()
-        return gather_samples(stack, self._rows, self._cols,
-                              flat=self._flat)
+        channels = pixels.shape[-1]
+        return np.take(pixels.reshape(-1, channels), self._flat,
+                       axis=0).reshape(self.grid_height, self.grid_width,
+                                       channels)
 
     def _check_shape(self, pixels: np.ndarray) -> None:
         if pixels.shape[:2] != self.buffer_shape:
@@ -234,6 +189,7 @@ class GridComparator:
         self.grid = grid
         self._comparisons = 0
         self._mismatches = 0
+        self._last_samples: Optional[np.ndarray] = None
 
     @property
     def comparisons(self) -> int:
@@ -248,14 +204,26 @@ class GridComparator:
     def note_equal(self, count: int = 1) -> None:
         """Account for ``count`` comparisons proven equal without running.
 
-        The coherence fast path knows current and previous frames agree
-        at every pixel — a fortiori at every sample point — so the
+        On a proven-unchanged update the current and previous frames
+        agree at every pixel — a fortiori at every sample point — so the
         gather-and-compare is skipped, but the comparison still counts
         toward overhead accounting exactly as if it had run.  The vector
         engine's bulk idle-submit skip accounts a whole run of such
         comparisons in one call.
         """
         self._comparisons += count
+
+    @property
+    def last_samples(self) -> Optional[np.ndarray]:
+        """Samples of ``current`` from the latest comparison, or None.
+
+        A freshly gathered ``(sample_count, channels)`` array, never a
+        view into the live buffer, so a caller may keep it and pass it
+        back as the next comparison's ``previous``: each frame is then
+        gathered once instead of twice (the content-rate meter does
+        this).
+        """
+        return self._last_samples
 
     def count_changed(self, current: np.ndarray,
                       previous: np.ndarray) -> int:
@@ -265,14 +233,49 @@ class GridComparator:
         ``count_changed == 0``; the significance-filtering extension
         (``MeterConfig.min_changed_cells``) uses the count to ignore
         cosmetically tiny changes (a blinking cursor, a clock colon)
-        that would otherwise hold the refresh rate up.
+        that would otherwise hold the refresh rate up.  ``previous``
+        takes the same forms as in :meth:`frames_equal`.
+        """
+        self.grid._check_shape(current)
+        cur, prev = self._sample_pair(current, previous)
+        return int((cur != prev).any(axis=-1).sum())
+
+    def frames_equal(self, current: np.ndarray,
+                     previous: np.ndarray) -> bool:
+        """True if the two buffers agree at every grid sample point.
+
+        ``current`` is a live pixel buffer of the grid's expected shape;
+        ``previous`` is either a full buffer of the same shape or its
+        pre-gathered samples: ``(grid_height, grid_width, channels)``
+        (the storage format of :class:`~repro.core.double_buffer.
+        SampledDoubleBuffer`) or ``(sample_count, channels)`` (the
+        format of :attr:`last_samples`).
+        """
+        self.grid._check_shape(current)
+        self._comparisons += 1
+        cur, prev = self._sample_pair(current, previous)
+        equal = bool((cur == prev).all())
+        if not equal:
+            self._mismatches += 1
+        return equal
+
+    def _sample_pair(self, current: np.ndarray, previous: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Both frames' samples, flattened to ``(n, channels)``.
+
+        Gathers ``current`` (kept as :attr:`last_samples`) and, when
+        ``previous`` is a full buffer, ``previous`` too.
         """
         grid = self.grid
-        grid._check_shape(current)
         channels = current.shape[-1]
-        cur = self._gather(current)
         if previous.shape == current.shape:
+            # Deliberately *no* memcmp fast path for the all-pixels
+            # grid — Figure 6 sweeps the cost of the per-sample
+            # comparison, and the paper's implementation walks grid
+            # points uniformly whatever their count (see _gather).
             prev = self._gather(previous)
+        elif previous.shape == (grid.sample_count, channels):
+            prev = previous
         elif previous.shape[:2] == (grid.grid_height, grid.grid_width):
             prev = previous.reshape(-1, channels)
         else:
@@ -280,7 +283,8 @@ class GridComparator:
                 f"previous frame shape {previous.shape} matches neither "
                 f"the buffer {grid.buffer_shape} nor the grid "
                 f"({grid.grid_height}, {grid.grid_width})")
-        return int((cur != prev).any(axis=-1).sum())
+        self._last_samples = self._gather(current)
+        return self._last_samples, prev
 
     def _gather(self, pixels: np.ndarray) -> np.ndarray:
         """Sample points of one full buffer, flattened to ``(n, channels)``.
@@ -299,38 +303,3 @@ class GridComparator:
             return gathered.reshape(-1, channels)
         return np.take(pixels.reshape(-1, channels), grid._flat,
                        axis=0)
-
-    def frames_equal(self, current: np.ndarray,
-                     previous: np.ndarray) -> bool:
-        """True if the two buffers agree at every grid sample point.
-
-        ``current`` is a live pixel buffer of the grid's expected shape;
-        ``previous`` may be either a full buffer of the same shape or a
-        pre-sampled ``(grid_height, grid_width, channels)`` array (the
-        storage format of :class:`~repro.core.double_buffer.
-        SampledDoubleBuffer`).
-        """
-        grid = self.grid
-        grid._check_shape(current)
-        self._comparisons += 1
-        channels = current.shape[-1]
-        if previous.shape == current.shape:
-            # Gather the sample points and compare them.  Deliberately
-            # *no* memcmp fast path for the all-pixels grid — Figure 6
-            # sweeps the cost of the per-sample comparison, and the
-            # paper's implementation walks grid points uniformly
-            # whatever their count (see _gather).
-            equal = bool(
-                (self._gather(current) == self._gather(previous)).all())
-        elif previous.shape[:2] == (grid.grid_height, grid.grid_width):
-            equal = bool(
-                (self._gather(current)
-                 == previous.reshape(-1, channels)).all())
-        else:
-            raise MeteringError(
-                f"previous frame shape {previous.shape} matches neither "
-                f"the buffer {grid.buffer_shape} nor the grid "
-                f"({grid.grid_height}, {grid.grid_width})")
-        if not equal:
-            self._mismatches += 1
-        return equal

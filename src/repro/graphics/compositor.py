@@ -12,11 +12,18 @@ the paper depends on fall out of this design:
   surface still produces a frame update with byte-identical content,
   which is exactly what the content-rate meter must detect and discount
   (Section 2.2).
+
+Every full composite is checked against the previous one over the
+whole frame (the simulator's ground truth).  When that check proves the
+new frame identical to what the framebuffer already holds, the update
+is delivered as :meth:`~repro.graphics.framebuffer.Framebuffer
+.write_unchanged`: no pixel moves, and every framebuffer listener can
+reuse the judgement instead of repeating it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -41,12 +48,16 @@ class SurfaceManager:
         self._redundant_compositions = 0
         self._listeners: List[CompositionListener] = []
         # Frame-coherence fast path (opt-in, see
-        # enable_coherence_fast_path): _coherent is True while
-        # _previous provably equals the framebuffer contents *and* the
+        # enable_coherence_fast_path): _coherent is True while the
         # surface stack is unchanged since the last full composite.
         self._fast_path = False
         self._coherent = False
         self._pending_dirty = False
+        # Framebuffer generation right after this compositor's last
+        # update (None before the first).  While it still matches,
+        # nothing else has written the framebuffer, so its pixels
+        # equal _previous.
+        self._written_generation: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Surface lifecycle
@@ -129,9 +140,7 @@ class SurfaceManager:
         """
         if not self._pending:
             return False
-        if (self._fast_path and self._coherent
-                and not self._pending_dirty
-                and not any(s.is_damaged for s in self._surfaces)):
+        if self._fast_path and self._absorbs_pending_posts():
             # Every pending post declared its pixels unchanged, no
             # surface mutated since the last full composite (damage
             # cross-check), and _previous still mirrors the
@@ -141,7 +150,7 @@ class SurfaceManager:
             for surface in self._pending.values():
                 surface.acknowledge_post()
             self._pending.clear()
-            self._framebuffer.write_unchanged(time)
+            self._write_unchanged(time)
             self._compositions += 1
             self._redundant_compositions += 1
             for listener in self._listeners:
@@ -157,9 +166,17 @@ class SurfaceManager:
             y0, x0, y1, x1 = surface.rect
             self._scratch[y0:y1, x0:x1] = surface.pixels
 
+        # Ground truth: the full-frame compare, whatever follows.
         redundant = bool(np.array_equal(self._scratch, self._previous))
-        np.copyto(self._previous, self._scratch)
-        self._framebuffer.write(self._scratch, time)
+        if redundant and self._framebuffer_current():
+            # Proven byte-identical to what the framebuffer holds:
+            # record the update without copying a single pixel, so
+            # every listener can reuse the judgement.
+            self._write_unchanged(time)
+        else:
+            np.copyto(self._previous, self._scratch)
+            self._written_generation = self._framebuffer.generation + 1
+            self._framebuffer.write(self._scratch, time)
         self._coherent = True
 
         self._compositions += 1
@@ -168,6 +185,27 @@ class SurfaceManager:
         for listener in self._listeners:
             listener(time, redundant)
         return True
+
+    def _framebuffer_current(self) -> bool:
+        """True while the framebuffer holds this compositor's last
+        update (no foreign write since), i.e. equals _previous."""
+        return self._framebuffer.generation == self._written_generation
+
+    def _absorbs_pending_posts(self) -> bool:
+        """True when compositing the pending posts provably reproduces
+        the framebuffer: coherent stack, current framebuffer, no post
+        declaring changed content and no damaged surface.  The vector
+        engine's idle-skip proof reuses this predicate."""
+        return (self._coherent and self._framebuffer_current()
+                and not self._pending_dirty
+                and not any(s.is_damaged for s in self._surfaces))
+
+    def _write_unchanged(self, time: float) -> None:
+        # Generations are recorded before the call: a listener that
+        # writes the framebuffer from its callback must count as a
+        # foreign write.
+        self._written_generation = self._framebuffer.generation + 1
+        self._framebuffer.write_unchanged(time)
 
     # ------------------------------------------------------------------
     # Accounting

@@ -118,13 +118,14 @@ class Framebuffer:
     def write_unchanged(self, time: float) -> None:
         """Record a frame update whose pixels equal the current contents.
 
-        The compositor's frame-coherence fast path calls this when it
-        has *proved* the newly composited frame is byte-identical to
-        what the framebuffer already holds: the copy is skipped, but
+        The compositor calls this when it has *proved* the newly
+        composited frame is byte-identical to what the framebuffer
+        already holds: the copy is skipped, but
         the update is otherwise real — generation, timestamp, and
         listener notification behave exactly like :meth:`write` with
-        identical pixels.  Listeners that themselves compare frames can
-        consult :attr:`last_write_unchanged` to skip their comparison.
+        identical pixels.  Listeners that themselves compare or price
+        frames consult :attr:`last_write_unchanged` to reuse their last
+        result instead of recomputing it.
         """
         self._generation += 1
         self._last_update_time = time

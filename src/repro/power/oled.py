@@ -108,8 +108,9 @@ class OledEmissionTracker:
                  start_time: float = 0.0) -> None:
         self.model = model or OledModel()
         self._framebuffer = framebuffer
-        initial = self.model.frame_power_mw(framebuffer.pixels)
-        self.history = StepSeries("oled_emission_mw", initial, start_time)
+        self._price_mw = self.model.frame_power_mw(framebuffer.pixels)
+        self.history = StepSeries("oled_emission_mw", self._price_mw,
+                                  start_time)
         self._evaluations = 0
         framebuffer.add_update_listener(self._on_frame_update)
 
@@ -120,8 +121,10 @@ class OledEmissionTracker:
 
     def _on_frame_update(self, time: float, framebuffer) -> None:
         self._evaluations += 1
-        self.history.set(time,
-                         self.model.frame_power_mw(framebuffer.pixels))
+        if not framebuffer.last_write_unchanged:
+            # A proven-unchanged update shows the frame already priced.
+            self._price_mw = self.model.frame_power_mw(framebuffer.pixels)
+        self.history.set(time, self._price_mw)
 
     def mean_emission_mw(self, start: float, end: float) -> float:
         """Time-weighted mean emission power over a window."""

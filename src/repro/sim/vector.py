@@ -72,9 +72,7 @@ The fast-forward controller
     framebuffer block (one row per session, injected via
     :attr:`~repro.pipeline.builder.SessionBuilder
     .framebuffer_storage`), so a whole batch's pixel state lives in
-    one contiguous allocation and batched sample extraction is a
-    single stacked gather (:meth:`~repro.core.grid.GridSpec
-    .sample_batch`).  Sessions the proofs do not cover
+    one contiguous allocation.  Sessions the proofs do not cover
     (:func:`~repro.pipeline.eligibility.probe_vector_eligibility`)
     fall back to the scalar engine transparently, per session.
 """
@@ -397,10 +395,8 @@ class VectorRunner(SessionRunner):
         # are stable across the whole region — skipped ticks post
         # nothing dirty and damage nothing.
         comp = self._compositor
-        replicate_idle = (self._idle_skip_ok and comp._coherent
-                          and not comp._pending_dirty
-                          and not any(s.is_damaged
-                                      for s in comp._surfaces))
+        replicate_idle = (self._idle_skip_ok
+                          and comp._absorbs_pending_posts())
 
         # Enumerate both periodic chains.  The sequential scalar loop
         # walks the merged order tick by tick, but every one of its
@@ -560,9 +556,10 @@ class VectorRunner(SessionRunner):
         acknowledges the post (a no-op here — the region precondition
         guarantees no surface is damaged, so posted and damage
         generations already agree), clears pending, calls
-        ``framebuffer.write_unchanged`` (generation bump, timestamp,
-        meter fast branch: frame-log append, known-equal comparison,
-        redundant capture), bumps both composition counters and
+        ``framebuffer.write_unchanged`` (generation bump, which the
+        compositor records as its own write; timestamp; meter fast
+        branch: frame-log append, known-equal comparison, redundant
+        capture), bumps both composition counters and
         notifies the composition log with ``redundant=True``.  All of
         it is appends of known timestamps and counter arithmetic, so
         the whole region lands as a handful of bulk extends.
@@ -580,6 +577,7 @@ class VectorRunner(SessionRunner):
         self._compositions_log.extend(tick_times)
         framebuffer = self._framebuffer
         framebuffer._generation += n
+        comp._written_generation = framebuffer._generation
         framebuffer._last_update_time = tick_times[-1]
         framebuffer._last_write_unchanged = True
         meter = self._meter
@@ -635,7 +633,6 @@ class VectorEngine:
         for index, config in enumerate(configs):
             by_shape.setdefault(
                 self._geometry(config), []).append(index)
-        self._blocks: List[Tuple[npt.NDArray[np.uint8], List[int]]] = []
         runners: List[Optional[VectorRunner]] = [None] * len(configs)
         for (height, width), indices in by_shape.items():
             pixel_block: npt.NDArray[np.uint8] = np.zeros(
@@ -644,7 +641,6 @@ class VectorEngine:
                 builder = SessionBuilder(configs[index])
                 builder.framebuffer_storage = pixel_block[row]
                 runners[index] = VectorRunner(builder)
-            self._blocks.append((pixel_block, indices))
         assert all(runner is not None for runner in runners)
         self.runners: List[VectorRunner] = [
             runner for runner in runners if runner is not None]
@@ -662,22 +658,6 @@ class VectorEngine:
     def session_count(self) -> int:
         """Number of sessions advancing in lockstep."""
         return len(self.runners)
-
-    def framebuffer_samples(self) -> List[npt.NDArray[np.uint8]]:
-        """One stacked grid gather per block: ``(n, samples, 3)``.
-
-        The batched view of every session's framebuffer at its
-        block's sample points (the first session's meter grid), via
-        :meth:`~repro.core.grid.GridSpec.sample_batch` — a single
-        advanced-indexing gather over the whole block instead of N
-        per-session extractions.
-        """
-        views: List[npt.NDArray[np.uint8]] = []
-        for pixel_block, indices in self._blocks:
-            grid = self.runners[indices[0]].builder._need(
-                self.runners[indices[0]].builder.meter, "meter").grid
-            views.append(grid.sample_batch(pixel_block))
-        return views
 
     def run(self) -> List["SessionResult"]:
         """Advance every session to completion, in lockstep slices."""

@@ -1,0 +1,282 @@
+"""Each frame update is judged once and the judgement is reused.
+
+The compositor's full-frame compare proves some composites redundant
+and delivers them as ``Framebuffer.write_unchanged``; the content-rate
+meter gathers each judged frame's grid samples once and keeps them as
+the next reference; the OLED tracker re-uses its price on unchanged
+updates.  These tests pin each shortcut to a brute-force reference.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.content_rate import ContentRateMeter, MeterConfig
+from repro.core.grid import GridSpec
+from repro.graphics.compositor import SurfaceManager
+from repro.graphics.framebuffer import Framebuffer
+from repro.graphics.surface import Surface
+from repro.power.oled import OledEmissionTracker, OledModel
+
+
+class WriteSpy:
+    """Counts the two kinds of framebuffer update on one instance."""
+
+    def __init__(self, framebuffer):
+        self.writes = 0
+        self.unchanged = 0
+        write, write_unchanged = (framebuffer.write,
+                                  framebuffer.write_unchanged)
+
+        def spy_write(pixels, time):
+            self.writes += 1
+            write(pixels, time)
+
+        def spy_unchanged(time):
+            self.unchanged += 1
+            write_unchanged(time)
+
+        framebuffer.write = spy_write
+        framebuffer.write_unchanged = spy_unchanged
+
+
+def _compositor(width=16, height=12):
+    fb = Framebuffer(width, height)
+    sm = SurfaceManager(fb)
+    surface = Surface(width, height, name="app")
+    sm.register_surface(surface)
+    return fb, sm, surface, WriteSpy(fb)
+
+
+# ----------------------------------------------------------------------
+# Compositor
+# ----------------------------------------------------------------------
+class TestCompositorJudgement:
+    def test_redundant_composite_is_an_unchanged_write(self):
+        fb, sm, surface, spy = _compositor()
+        surface.fill((5, 6, 7))
+        sm.post(surface)
+        sm.on_vsync(1.0)
+        assert (spy.writes, spy.unchanged) == (1, 0)
+        assert not fb.last_write_unchanged
+        sm.post(surface)
+        sm.on_vsync(2.0)
+        assert (spy.writes, spy.unchanged) == (1, 1)
+        assert fb.last_write_unchanged
+        assert fb.generation == 2
+        assert fb.last_update_time == 2.0
+        assert (fb.pixels == [5, 6, 7]).all()
+        assert sm.redundant_compositions == 1
+
+    def test_first_composite_is_always_a_real_write(self):
+        # An all-black first frame equals the compositor's zeroed
+        # previous buffer (ground truth: redundant), but nothing has
+        # been written by the compositor yet.
+        fb, sm, surface, spy = _compositor()
+        sm.post(surface)
+        sm.on_vsync(1.0)
+        assert (spy.writes, spy.unchanged) == (1, 0)
+        assert sm.redundant_compositions == 1
+
+    def test_foreign_write_forces_a_real_write(self):
+        fb, sm, surface, spy = _compositor()
+        surface.fill((9, 9, 9))
+        sm.post(surface)
+        sm.on_vsync(1.0)
+        foreign = np.full(fb.shape, 200, dtype=np.uint8)
+        fb.write(foreign, 1.5)
+        assert spy.writes == 2
+        sm.post(surface)  # pixels unchanged: redundant composite
+        sm.on_vsync(2.0)
+        assert (spy.writes, spy.unchanged) == (3, 0)
+        assert not fb.last_write_unchanged
+        assert (fb.pixels == 9).all()
+        assert sm.redundant_compositions == 1
+        # Once rewritten, the guard holds again.
+        sm.post(surface)
+        sm.on_vsync(3.0)
+        assert (spy.writes, spy.unchanged) == (3, 1)
+
+    def test_listener_write_during_update_counts_as_foreign(self):
+        fb, sm, surface, spy = _compositor()
+        surface.fill((3, 3, 3))
+        scribble = np.full(fb.shape, 77, dtype=np.uint8)
+        fired = []
+
+        def scribbler(time, framebuffer):
+            if not fired:
+                fired.append(time)
+                framebuffer.write(scribble, time)
+
+        fb.add_update_listener(scribbler)
+        sm.post(surface)
+        sm.on_vsync(1.0)
+        assert (fb.pixels == 77).all()
+        sm.post(surface)
+        sm.on_vsync(2.0)
+        assert not fb.last_write_unchanged
+        assert (fb.pixels == 3).all()
+
+    def test_changed_composite_is_a_real_write(self):
+        fb, sm, surface, spy = _compositor()
+        for step in range(4):
+            surface.fill((step, step, step))
+            sm.post(surface)
+            sm.on_vsync(float(step + 1))
+        assert (spy.writes, spy.unchanged) == (4, 0)
+        assert (fb.pixels == 3).all()
+
+
+# ----------------------------------------------------------------------
+# Meter
+# ----------------------------------------------------------------------
+def _frame_sequence(shape, count, seed):
+    """Random frames: repeats, tiny edits and wholesale changes."""
+    rng = np.random.default_rng(seed)
+    frame = np.zeros(shape, dtype=np.uint8)
+    frames = []
+    for _ in range(count):
+        kind = rng.integers(0, 4)
+        if kind == 1:  # a few pixels, on or off the grid
+            for _ in range(int(rng.integers(1, 6))):
+                y = int(rng.integers(0, shape[0]))
+                x = int(rng.integers(0, shape[1]))
+                frame[y, x] = rng.integers(0, 256, size=3)
+        elif kind == 2:  # a block
+            y, x = int(rng.integers(0, shape[0] // 2)), \
+                int(rng.integers(0, shape[1] // 2))
+            frame[y:y + shape[0] // 3, x:x + shape[1] // 3] = \
+                rng.integers(0, 256, size=3)
+        elif kind == 3:  # the whole frame
+            frame = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        frames.append(frame.copy())
+    return frames
+
+
+def _drive(framebuffer, frames):
+    """Write each frame; an exact repeat is sometimes delivered as a
+    proven-unchanged update and sometimes as a plain write."""
+    for index, frame in enumerate(frames):
+        time = 0.05 * (index + 1)
+        if np.array_equal(frame, framebuffer.pixels) and index % 2:
+            framebuffer.write_unchanged(time)
+        else:
+            framebuffer.write(frame, time)
+
+
+def _brute_force(frames, shape, config):
+    """Two gathers per frame, counted the way the meter accounts."""
+    grid = GridSpec.from_sample_count(shape[:2], config.sample_count)
+    previous = np.zeros(shape, dtype=np.uint8)
+    meaningful = []
+    for index, frame in enumerate(frames):
+        changed = int((grid.sample(frame) != grid.sample(previous))
+                      .any(axis=-1).sum())
+        if changed >= config.min_changed_cells:
+            meaningful.append(0.05 * (index + 1))
+        previous = frame
+    exact = config.min_changed_cells == 1
+    slot_bytes = (int(np.prod(shape)) if config.store_full_frames
+                  else grid.sample_count * shape[2])
+    return {
+        "comparisons": len(frames) if exact else 0,
+        "mismatches": len(meaningful) if exact else 0,
+        "bytes_copied": slot_bytes * (len(frames) + 1),
+        "meaningful": meaningful,
+    }
+
+
+def _observed(meter):
+    return {
+        "comparisons": meter.comparator.comparisons,
+        "mismatches": meter.comparator.mismatches,
+        "bytes_copied": meter.bytes_copied,
+        "meaningful": list(meter.meaningful_frames.times),
+    }
+
+
+class TestMeterJudgement:
+    @pytest.mark.parametrize("min_changed_cells", [1, 3])
+    @pytest.mark.parametrize("store_full_frames", [True, False])
+    @pytest.mark.parametrize("sample_count", [60, 40 * 24])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_two_gather_reference(self, min_changed_cells,
+                                          store_full_frames,
+                                          sample_count, seed):
+        shape = (40, 24, 3)
+        config = MeterConfig(sample_count=sample_count,
+                             min_changed_cells=min_changed_cells,
+                             store_full_frames=store_full_frames)
+        fb = Framebuffer(shape[1], shape[0])
+        meter = ContentRateMeter(fb, config)
+        frames = _frame_sequence(shape, 80, seed)
+        _drive(fb, frames)
+        assert meter.total_frames == len(frames)
+        assert _observed(meter) == _brute_force(frames, shape, config)
+
+    @pytest.mark.parametrize("store_full_frames", [True, False])
+    def test_full_921k_grid(self, store_full_frames):
+        shape = (1280, 720, 3)
+        config = MeterConfig(sample_count=720 * 1280,
+                             store_full_frames=store_full_frames)
+        fb = Framebuffer(shape[1], shape[0])
+        meter = ContentRateMeter(fb, config)
+        assert meter.grid.is_full
+        frames = _frame_sequence(shape, 10, 3)
+        _drive(fb, frames)
+        assert _observed(meter) == _brute_force(frames, shape, config)
+
+    def test_one_gather_per_judged_frame(self, monkeypatch):
+        fb = Framebuffer(24, 40)
+        meter = ContentRateMeter(fb, MeterConfig(sample_count=60))
+        gathered = []
+        gather = type(meter.comparator)._gather
+
+        def counting(self, pixels):
+            gathered.append(pixels.shape)
+            return gather(self, pixels)
+
+        monkeypatch.setattr(type(meter.comparator), "_gather", counting)
+        frames = _frame_sequence((40, 24, 3), 20, 4)
+        for index, frame in enumerate(frames):
+            fb.write(frame, 0.05 * (index + 1))
+        assert len(gathered) == len(frames)
+
+    def test_unchanged_update_gathers_nothing(self, monkeypatch):
+        fb = Framebuffer(24, 40)
+        meter = ContentRateMeter(fb, MeterConfig(sample_count=60))
+        fb.write(np.full(fb.shape, 4, dtype=np.uint8), 0.1)
+
+        def forbidden(self, pixels):
+            raise AssertionError("gathered a proven-unchanged frame")
+
+        monkeypatch.setattr(type(meter.comparator), "_gather", forbidden)
+        fb.write_unchanged(0.2)
+        assert meter.total_frames == 2
+        assert meter.comparator.comparisons == 2
+        assert meter.total_meaningful == 1
+
+
+# ----------------------------------------------------------------------
+# OLED tracker
+# ----------------------------------------------------------------------
+class TestOledJudgement:
+    def test_history_equals_per_update_recomputation(self):
+        fb, sm, surface, spy = _compositor(32, 20)
+        model = OledModel()
+        tracker = OledEmissionTracker(fb, model)
+        expected = [model.frame_power_mw(fb.pixels)]
+        fb.add_update_listener(
+            lambda t, f: expected.append(model.frame_power_mw(f.pixels)))
+        rng = np.random.default_rng(11)
+        for step in range(60):
+            if rng.random() < 0.5:
+                surface.fill(tuple(int(v) for v in
+                                   rng.integers(0, 256, size=3)))
+            sm.post(surface)
+            sm.on_vsync(0.1 * (step + 1))
+        assert spy.unchanged > 0
+        assert tracker.evaluations == 60
+        times, values = tracker.history.transitions
+        assert list(values) == expected
+        assert list(times) == [0.0] + [0.1 * (step + 1)
+                                       for step in range(60)]

@@ -103,3 +103,33 @@ class TestDocumentation:
             module_name = module_name.replace(".__init__", "")
             module = importlib.import_module(module_name)
             assert module.__doc__, module_name
+
+
+class TestSaltGuard:
+    """``scripts/check_salt_bump.py`` watches every package that
+    shapes what a cached session computes."""
+
+    #: Packages whose code changes a session's summary for an
+    #: unchanged spec.
+    SESSION_PACKAGES = ("sim", "core", "power", "graphics", "apps",
+                        "display", "governors", "pipeline", "inputs",
+                        "traces", "faults")
+
+    @pytest.fixture(scope="class")
+    def watched(self):
+        import importlib.util
+        path = REPO_ROOT / "scripts" / "check_salt_bump.py"
+        spec = importlib.util.spec_from_file_location("check_salt_bump",
+                                                      path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.WATCHED
+
+    def test_every_session_package_is_watched(self, watched):
+        expected = {f"src/repro/{name}/" for name in self.SESSION_PACKAGES}
+        assert expected <= set(watched)
+
+    def test_watched_entries_are_package_directories(self, watched):
+        for entry in watched:
+            assert entry.endswith("/"), entry
+            assert (REPO_ROOT / entry / "__init__.py").is_file(), entry
