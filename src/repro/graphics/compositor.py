@@ -19,11 +19,18 @@ new frame identical to what the framebuffer already holds, the update
 is delivered as :meth:`~repro.graphics.framebuffer.Framebuffer
 .write_unchanged`: no pixel moves, and every framebuffer listener can
 reuse the judgement instead of repeating it.
+
+The compositor keeps two frame buffers, the one being composited and
+the previous composite, and moves no byte it can prove is already in
+place: each buffer remembers the surface rects it was composited
+under and is zero outside them, so it is re-zeroed only when the stack
+geometry changed; and a new frame becomes the previous one by
+swapping the two buffers, not by copying.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +40,17 @@ from .surface import Surface
 
 #: Callback fired after each composition: ``(time, frame_was_redundant)``.
 CompositionListener = Callable[[float, bool], None]
+
+#: Screen rects ``(y0, x0, y1, x1)`` of a surface stack, in z-order.
+StackRects = Tuple[Tuple[int, int, int, int], ...]
+
+
+def _word_dtype(nbytes: int) -> np.dtype:
+    """The widest unsigned word whose size divides ``nbytes``."""
+    for dtype in (np.uint64, np.uint32, np.uint16):
+        if nbytes % np.dtype(dtype).itemsize == 0:
+            return np.dtype(dtype)
+    return np.dtype(np.uint8)
 
 
 class SurfaceManager:
@@ -44,14 +62,22 @@ class SurfaceManager:
         self._pending: Dict[str, Surface] = {}
         self._scratch = np.zeros(framebuffer.shape, dtype=np.uint8)
         self._previous = np.zeros(framebuffer.shape, dtype=np.uint8)
+        # The surface rects each buffer was last composited under;
+        # outside them the buffer is zero.
+        self._scratch_rects: StackRects = ()
+        self._previous_rects: StackRects = ()
+        # Ground truth compares frames as words of this dtype.
+        self._word = _word_dtype(self._scratch.nbytes)
         self._compositions = 0
         self._redundant_compositions = 0
         self._listeners: List[CompositionListener] = []
         # Frame-coherence fast path (opt-in, see
-        # enable_coherence_fast_path): _coherent is True while the
-        # surface stack is unchanged since the last full composite.
+        # enable_coherence_fast_path): the stack rects of the last
+        # full composite, or None once a surface was registered or
+        # unregistered since.  The stack is coherent while they equal
+        # the current rects, so moving a surface breaks coherence too.
         self._fast_path = False
-        self._coherent = False
+        self._coherent_rects: Optional[StackRects] = None
         self._pending_dirty = False
         # Framebuffer generation right after this compositor's last
         # update (None before the first).  While it still matches,
@@ -70,7 +96,7 @@ class SurfaceManager:
                 f"a surface named {surface.name!r} is already registered")
         self._surfaces.append(surface)
         self._surfaces.sort(key=lambda s: s.z_order)
-        self._coherent = False
+        self._coherent_rects = None
 
     def unregister_surface(self, surface: Surface) -> None:
         """Remove a surface from the stack."""
@@ -80,7 +106,7 @@ class SurfaceManager:
             raise GraphicsError(
                 f"surface {surface.name!r} is not registered") from None
         self._pending.pop(surface.name, None)
-        self._coherent = False
+        self._coherent_rects = None
 
     @property
     def surfaces(self) -> List[Surface]:
@@ -161,23 +187,31 @@ class SurfaceManager:
         self._pending.clear()
         self._pending_dirty = False
 
-        self._scratch[:] = 0
-        for surface in self._surfaces:
-            y0, x0, y1, x1 = surface.rect
+        rects = self._stack_rects()
+        if rects != self._scratch_rects:
+            # Zero only when the stack geometry changed: under the same
+            # rects the blits below overwrite every non-zero byte.
+            self._scratch[:] = 0
+            self._scratch_rects = rects
+        for surface, (y0, x0, y1, x1) in zip(self._surfaces, rects):
             self._scratch[y0:y1, x0:x1] = surface.pixels
 
         # Ground truth: the full-frame compare, whatever follows.
-        redundant = bool(np.array_equal(self._scratch, self._previous))
+        redundant = self._frames_equal(self._scratch, self._previous)
         if redundant and self._framebuffer_current():
             # Proven byte-identical to what the framebuffer holds:
             # record the update without copying a single pixel, so
             # every listener can reuse the judgement.
             self._write_unchanged(time)
         else:
-            np.copyto(self._previous, self._scratch)
+            # The new frame becomes the previous one by a swap, not a
+            # copy; each buffer keeps the rects it was composited under.
+            self._scratch, self._previous = self._previous, self._scratch
+            self._scratch_rects, self._previous_rects = (
+                self._previous_rects, self._scratch_rects)
             self._written_generation = self._framebuffer.generation + 1
-            self._framebuffer.write(self._scratch, time)
-        self._coherent = True
+            self._framebuffer.write(self._previous, time)
+        self._coherent_rects = rects
 
         self._compositions += 1
         if redundant:
@@ -186,17 +220,28 @@ class SurfaceManager:
             listener(time, redundant)
         return True
 
+    def _frames_equal(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """Byte equality of two frames, compared a word at a time."""
+        return bool(np.array_equal(a.reshape(-1).view(self._word),
+                                   b.reshape(-1).view(self._word)))
+
     def _framebuffer_current(self) -> bool:
         """True while the framebuffer holds this compositor's last
         update (no foreign write since), i.e. equals _previous."""
         return self._framebuffer.generation == self._written_generation
 
+    def _stack_rects(self) -> StackRects:
+        """Screen rects of the registered surfaces, in z-order."""
+        return tuple(surface.rect for surface in self._surfaces)
+
     def _absorbs_pending_posts(self) -> bool:
         """True when compositing the pending posts provably reproduces
-        the framebuffer: coherent stack, current framebuffer, no post
-        declaring changed content and no damaged surface.  The vector
-        engine's idle-skip proof reuses this predicate."""
-        return (self._coherent and self._framebuffer_current()
+        the framebuffer: coherent stack (same surfaces at the same
+        rects), current framebuffer, no post declaring changed content
+        and no damaged surface.  The vector engine's idle-skip proof
+        reuses this predicate."""
+        return (self._coherent_rects == self._stack_rects()
+                and self._framebuffer_current()
                 and not self._pending_dirty
                 and not any(s.is_damaged for s in self._surfaces))
 

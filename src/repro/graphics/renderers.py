@@ -28,8 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..units import ensure_positive_int
-from .surface import Surface
+from ..units import ensure_non_negative_int, ensure_positive_int
+from .surface import Surface, fill_rect
 
 
 class Renderer:
@@ -73,7 +73,14 @@ class ScrollRenderer(Renderer):
         band = px[-step:]
         stripe_colors = rng.integers(0, 256, size=(step, 1, 3),
                                      dtype=np.uint8)
-        band[:, :] = stripe_colors
+        # Each stripe is one colour: write column 0, then copy the
+        # filled span across the row, doubling it each time.
+        band[:, 0] = stripe_colors[:, 0]
+        filled, width = 1, band.shape[1]
+        while filled < width:
+            span = min(filled, width - filled)
+            band[:, filled:filled + span] = band[:, :span]
+            filled += span
         surface.mark_damaged()
 
 
@@ -99,7 +106,7 @@ class SceneChangeRenderer(Renderer):
             y0 = int(rng.integers(0, h - rh + 1))
             x0 = int(rng.integers(0, w - rw + 1))
             color = rng.integers(0, 256, size=3, dtype=np.uint8)
-            px[y0:y0 + rh, x0:x0 + rw] = color
+            fill_rect(px, y0, y0 + rh, x0, x0 + rw, color)
         surface.mark_damaged()
 
 
@@ -114,12 +121,19 @@ class FullScreenVideoRenderer(Renderer):
         self.block_px = ensure_positive_int(block_px, "block_px")
 
     def render(self, surface: Surface, rng: np.random.Generator) -> None:
-        bh = (surface.height + self.block_px - 1) // self.block_px
-        bw = (surface.width + self.block_px - 1) // self.block_px
+        h, w, b = surface.height, surface.width, self.block_px
+        bh = (h + b - 1) // b
+        bw = (w + b - 1) // b
         blocks = rng.integers(0, 256, size=(bh, bw, 3), dtype=np.uint8)
-        frame = np.repeat(np.repeat(blocks, self.block_px, axis=0),
-                          self.block_px, axis=1)
-        surface.pixels[:, :] = frame[:surface.height, :surface.width]
+        # Expand along x only (1/b of a frame), then copy each block
+        # row into its b screen rows through a (rows, b, w, 3) view
+        # (surface pixels are C-contiguous, so the reshape is a view).
+        rows = np.repeat(blocks, b, axis=1)[:, :w]
+        px = surface.pixels
+        full = h // b
+        px[:full * b].reshape(full, b, w, 3)[...] = rows[:full, np.newaxis]
+        if full * b < h:
+            px[full * b:] = rows[full]
         surface.mark_damaged()
 
 
@@ -135,8 +149,8 @@ class SmallRegionRenderer(Renderer):
         self.region_height = ensure_positive_int(region_height,
                                                  "region_height")
         self.region_width = ensure_positive_int(region_width, "region_width")
-        self.y = y
-        self.x = x
+        self.y = ensure_non_negative_int(y, "y")
+        self.x = ensure_non_negative_int(x, "x")
 
     def render(self, surface: Surface, rng: np.random.Generator) -> None:
         rh = min(self.region_height, surface.height - self.y)
@@ -145,7 +159,8 @@ class SmallRegionRenderer(Renderer):
             raise ConfigurationError(
                 "SmallRegionRenderer region lies outside the surface")
         color = rng.integers(0, 256, size=3, dtype=np.uint8)
-        surface.pixels[self.y:self.y + rh, self.x:self.x + rw] = color
+        fill_rect(surface.pixels, self.y, self.y + rh, self.x, self.x + rw,
+                  color)
         surface.mark_damaged()
 
 

@@ -17,6 +17,22 @@ from ..errors import GraphicsError
 from ..units import ensure_non_negative_int, ensure_positive_int
 
 
+def fill_rect(px: np.ndarray, y0: int, y1: int, x0: int, x1: int,
+              color: np.ndarray) -> None:
+    """Paint ``px[y0:y1, x0:x1]`` one colour, a row at a time.
+
+    Writes the region's first row from ``color`` and copies that row
+    down, so the cost is one row copy per row rather than one 3-byte
+    broadcast per pixel.  The slice semantics, and so the pixels, are
+    exactly those of ``px[y0:y1, x0:x1] = color``.
+    """
+    region = px[y0:y1, x0:x1]
+    if region.size == 0:
+        return
+    region[0] = color
+    region[1:] = region[:1]
+
+
 class Surface:
     """A rectangular RGB drawing buffer with screen placement.
 
@@ -88,7 +104,8 @@ class Surface:
 
     def fill(self, color: Tuple[int, int, int]) -> None:
         """Flood the surface with one colour and mark it damaged."""
-        self._pixels[:, :] = np.asarray(color, dtype=np.uint8)
+        fill_rect(self._pixels, 0, self.height, 0, self.width,
+                  np.asarray(color, dtype=np.uint8))
         self.mark_damaged()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

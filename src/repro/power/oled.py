@@ -29,6 +29,7 @@ properties of the model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -36,6 +37,19 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..sim.tracing import StepSeries
 from ..units import ensure_non_negative, ensure_positive
+
+
+@lru_cache(maxsize=8)
+def decode_table(gamma: float) -> np.ndarray:
+    """Read-only luminance of every uint8 level at ``gamma``.
+
+    Entry ``v`` is exactly ``(v / 255.0) ** gamma`` as the per-pixel
+    array expression computes it, so indexing the table with a frame
+    gives the same float64 values bit for bit.
+    """
+    table = (np.arange(256, dtype=np.float64) / 255.0) ** gamma
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -75,11 +89,17 @@ class OledModel:
         ``pixels`` is any ``(h, w, 3)`` uint8 frame; resolution does
         not matter because the model works in mean per-pixel luminance
         (the panel's area is folded into the channel coefficients).
+        Each sub-pixel is decoded by a lookup in :func:`decode_table`.
         """
         if pixels.ndim != 3 or pixels.shape[-1] != 3:
             raise ConfigurationError(
                 f"expected an (h, w, 3) frame, got shape {pixels.shape}")
-        luminance = (pixels.astype(np.float64) / 255.0) ** self.gamma
+        if pixels.dtype != np.uint8:
+            raise ConfigurationError(
+                f"expected a uint8 frame, got {pixels.dtype}")
+        luminance = decode_table(self.gamma)[pixels]
+        # The sequential per-channel sum keeps the price bit-identical
+        # to pricing the decoded frame; do not swap in another sum.
         channel_mean = luminance.mean(axis=(0, 1))
         coeffs = np.asarray(self.full_channel_mw, dtype=np.float64)
         return float(self.base_mw + (coeffs * channel_mean).sum())

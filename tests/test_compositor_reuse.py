@@ -1,0 +1,148 @@
+"""Compositor buffer reuse against a brute-force composite.
+
+The compositor re-zeroes its composition buffer only when the surface
+rects changed since that buffer was last composited, swaps its two
+buffers instead of copying the new frame, and compares frames as wide
+words.  None of that may be visible: after every V-Sync the
+framebuffer must hold exactly zeros plus the z-ordered blits of the
+registered surfaces (or a later foreign write), and the ground-truth
+redundancy count must equal a brute-force ``np.array_equal`` count.
+
+The random walk over a full-screen surface and an overlay registers
+and unregisters both, moves the overlay by assigning
+``surface.x``/``surface.y``, redraws and reposts surfaces (also as
+declared-idle reposts) and writes the framebuffer from outside, on
+frames whose byte counts are a multiple of 8, of 4 only, and odd.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.graphics.compositor import SurfaceManager, _word_dtype
+from repro.graphics.framebuffer import Framebuffer
+from repro.graphics.surface import Surface, fill_rect
+
+
+def _random_color(rng: np.random.Generator) -> np.ndarray:
+    # Few levels, so redraws often repeat colours and some composites
+    # are redundant.
+    return rng.integers(0, 3, size=3, dtype=np.uint8) * 120
+
+
+def _draw(surface: Surface, rng: np.random.Generator) -> None:
+    y0 = int(rng.integers(0, surface.height))
+    x0 = int(rng.integers(0, surface.width))
+    y1 = int(rng.integers(y0 + 1, surface.height + 1))
+    x1 = int(rng.integers(x0 + 1, surface.width + 1))
+    fill_rect(surface.pixels, y0, y1, x0, x1, _random_color(rng))
+    surface.mark_damaged()
+
+
+def _brute_composite(shape, surfaces) -> np.ndarray:
+    frame = np.zeros(shape, dtype=np.uint8)
+    for surface in sorted(surfaces, key=lambda s: s.z_order):
+        y0, x0, y1, x1 = surface.rect
+        frame[y0:y1, x0:x1] = surface.pixels
+    return frame
+
+
+def _walk(width: int, height: int, fast_path: bool, seed: int,
+          steps: int = 300) -> None:
+    rng = np.random.default_rng(seed)
+    fb = Framebuffer(width, height)
+    comp = SurfaceManager(fb)
+    if fast_path:
+        comp.enable_coherence_fast_path()
+    base = Surface(width, height, name="base", z_order=0)
+    overlay = Surface(3, 2, name="overlay", z_order=1)
+    base.fill((40, 40, 40))
+    overlay.fill((200, 10, 90))
+    comp.register_surface(base)
+    comp.register_surface(overlay)
+    registered = {"base": base, "overlay": overlay}
+
+    previous_composite = np.zeros(fb.shape, dtype=np.uint8)
+    expected_fb = fb.pixels.copy()
+    redundant = 0
+    for step in range(steps):
+        for _ in range(int(rng.integers(1, 4))):
+            op = int(rng.integers(0, 9))
+            # The surface an op acts on: base for even ops, else overlay.
+            surface = base if op % 2 == 0 else overlay
+            on_screen = surface.name in registered
+            if op in (0, 1) and on_screen:
+                _draw(surface, rng)
+                comp.post(surface)
+            elif op in (2, 3) and on_screen:
+                comp.post(surface, content_changed=False)
+            elif op == 4:
+                overlay.x = int(rng.integers(0, width - overlay.width + 1))
+                overlay.y = int(rng.integers(0,
+                                             height - overlay.height + 1))
+                if "overlay" in registered and rng.random() < 0.5:
+                    comp.post(overlay, content_changed=False)
+            elif op in (5, 7):
+                # Unregister or re-register; base off screen exposes
+                # the zeros around the overlay.
+                surface = base if op == 7 else overlay
+                if surface.name in registered:
+                    comp.unregister_surface(surface)
+                    del registered[surface.name]
+                else:
+                    comp.register_surface(surface)
+                    registered[surface.name] = surface
+                for other in registered.values():
+                    comp.post(other, content_changed=False)
+            elif op == 6:
+                foreign = rng.integers(0, 256, size=fb.shape,
+                                       dtype=np.uint8)
+                fb.write(foreign, float(step))
+                expected_fb = foreign
+            elif op == 8 and "base" in registered:
+                comp.post(base)  # a redundant frame: nothing redrawn
+        if comp.on_vsync(float(step)):
+            frame = _brute_composite(fb.shape, registered.values())
+            redundant += int(np.array_equal(frame, previous_composite))
+            previous_composite = frame
+            expected_fb = frame
+        assert np.array_equal(fb.pixels, expected_fb), step
+        assert comp.redundant_compositions == redundant, step
+    # The walk must actually exercise both verdicts.
+    assert 0 < comp.redundant_compositions < comp.compositions
+
+
+@pytest.mark.parametrize("fast_path", [False, True],
+                         ids=["full", "fast-path"])
+@pytest.mark.parametrize("width, height", [(8, 6), (10, 6), (7, 5)],
+                         ids=["144B", "180B", "105B"])
+@pytest.mark.parametrize("seed", range(4))
+def test_reuse_matches_brute_force(width, height, fast_path, seed):
+    _walk(width, height, fast_path, seed)
+
+
+@pytest.mark.parametrize("nbytes, word", [
+    (144, np.uint64), (180, np.uint32), (90, np.uint16), (105, np.uint8),
+    (160 * 90 * 3, np.uint64), (1280 * 720 * 3, np.uint64)])
+def test_compare_word_is_widest_divisor(nbytes, word):
+    assert _word_dtype(nbytes) == np.dtype(word)
+
+
+def test_moving_a_surface_defeats_the_fast_path():
+    # An idle repost of a moved surface declares its pixels unchanged,
+    # but the frame changes: the composite must run.
+    fb = Framebuffer(8, 6)
+    comp = SurfaceManager(fb)
+    comp.enable_coherence_fast_path()
+    overlay = Surface(2, 2, name="overlay")
+    overlay.fill((9, 9, 9))
+    comp.register_surface(overlay)
+    comp.post(overlay)
+    comp.on_vsync(0.0)
+    overlay.x = 5
+    comp.post(overlay, content_changed=False)
+    comp.on_vsync(1.0)
+    np.testing.assert_array_equal(
+        fb.pixels, _brute_composite(fb.shape, [overlay]))
+    assert comp.redundant_compositions == 0

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.graphics.framebuffer import Framebuffer
-from repro.power.oled import OledEmissionTracker, OledModel
+from repro.power.oled import OledEmissionTracker, OledModel, decode_table
 
 
 def frame(value, shape=(12, 10, 3)):
@@ -61,6 +61,13 @@ class TestOledModel:
         model = OledModel()
         with pytest.raises(ConfigurationError):
             model.frame_power_mw(np.zeros((10, 10), dtype=np.uint8))
+
+    def test_non_uint8_frame_rejected(self):
+        model = OledModel()
+        with pytest.raises(ConfigurationError):
+            model.frame_power_mw(np.zeros((10, 10, 3), dtype=np.float64))
+        with pytest.raises(ConfigurationError):
+            model.frame_power_mw(np.zeros((10, 10, 3), dtype=np.uint16))
 
     def test_invalid_coefficients_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -136,3 +143,39 @@ class TestSessionIntegration:
         e_fixed = fixed.oled_tracker.mean_emission_mw(0.0, 20.0)
         e_governed = governed.oled_tracker.mean_emission_mw(0.0, 20.0)
         assert e_governed == pytest.approx(e_fixed, rel=0.15)
+
+
+def _direct_price(model, pixels):
+    """The per-sub-pixel ``pow`` formula the decode table replaces."""
+    luminance = (pixels.astype(np.float64) / 255.0) ** model.gamma
+    channel_mean = luminance.mean(axis=(0, 1))
+    coeffs = np.asarray(model.full_channel_mw, dtype=np.float64)
+    return float(model.base_mw + (coeffs * channel_mean).sum())
+
+
+class TestDecodeTable:
+    @pytest.mark.parametrize("gamma", [2.2, 1.0, 2.4, 0.7])
+    def test_table_equals_direct_decode_at_every_level(self, gamma):
+        levels = np.arange(256, dtype=np.uint8)
+        direct = (levels.astype(np.float64) / 255.0) ** gamma
+        assert np.array_equal(decode_table(gamma), direct)
+
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            decode_table(2.2)[0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(12, 10, 3), (160, 90, 3),
+                                       (23, 37, 3), (1, 1, 3)])
+    @pytest.mark.parametrize("gamma", [2.2, 1.8])
+    def test_price_bit_equal_to_direct_formula(self, shape, gamma):
+        model = OledModel(gamma=gamma)
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(4):
+            frame_ = rng.integers(0, 256, size=shape, dtype=np.uint8)
+            views = [frame_, frame_[::2, 1::3], frame_[::-1],
+                     frame_.transpose(1, 0, 2), np.asfortranarray(frame_)]
+            for view in views:
+                if view.size == 0:
+                    continue
+                assert model.frame_power_mw(view) == \
+                    _direct_price(model, view)

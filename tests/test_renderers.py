@@ -12,7 +12,7 @@ from repro.graphics.renderers import (
     SmallRegionRenderer,
     StaticRenderer,
 )
-from repro.graphics.surface import Surface
+from repro.graphics.surface import Surface, fill_rect
 
 
 @pytest.fixture
@@ -106,6 +106,30 @@ class TestSmallRegionRenderer:
         r = SmallRegionRenderer(region_height=4, region_width=4, y=8, x=0)
         with pytest.raises(ConfigurationError):
             r.render(s, rng)
+
+    @pytest.mark.parametrize("y, x", [(-3, -2), (-20, 0), (0, -1),
+                                      (1.0, 0), (0, True)])
+    def test_bad_offsets_rejected_at_construction(self, y, x):
+        # A negative offset used to slice from the far edge: (-3, -2)
+        # painted nothing yet marked the surface damaged, and y=-20
+        # painted rows 10-15 of a 30-row surface.
+        with pytest.raises(ConfigurationError):
+            SmallRegionRenderer(region_height=6, region_width=8, y=y, x=x)
+
+
+class TestFillRect:
+    @pytest.mark.parametrize("y0, y1, x0, x1", [
+        (0, 30, 0, 40), (3, 9, 5, 17), (29, 30, 0, 40), (0, 30, 39, 40),
+        (5, 5, 0, 40), (0, 30, 7, 7), (25, 99, 35, 99), (-4, 30, 0, -3)])
+    def test_matches_broadcast_assignment(self, y0, y1, x0, x1):
+        start = np.random.default_rng(3).integers(
+            0, 256, size=(30, 40, 3), dtype=np.uint8)
+        color = np.array([7, 200, 31], dtype=np.uint8)
+        expected = start.copy()
+        expected[y0:y1, x0:x1] = color
+        px = start.copy()
+        fill_rect(px, y0, y1, x0, x1, color)
+        np.testing.assert_array_equal(px, expected)
 
 
 class TestMovingSpritesRenderer:
