@@ -205,18 +205,13 @@ def _aggregate(values: List[float]) -> Dict[str, Any]:
 def run_sweep(base: SessionSpec, grid: Mapping[str, Sequence[Any]],
               *, seeds: Sequence[int] = (1,),
               workers: Optional[int] = None,
-              cache: Optional["ResultCache"] = None,
-              engine: str = "scalar") -> Dict[str, Any]:
+              cache: Optional["ResultCache"] = None) -> Dict[str, Any]:
     """Run the full grid x seeds sweep; returns the sweep document.
 
     Every ``(params, seed)`` cell is one deterministic session; the
     whole sweep fans out as a single :func:`~repro.sim.batch.run_batch`
     call (fail-fast), so worker count never changes the document and a
     ``cache`` serves repeated cells from disk byte-identically.
-    ``engine`` selects the batch execution engine — the document is
-    byte-identical whichever engine computed it, so cache entries are
-    engine-agnostic (a vector sweep is served from a scalar-warmed
-    cache and vice versa).
     """
     from ..sim.batch import run_batch
 
@@ -233,8 +228,7 @@ def run_sweep(base: SessionSpec, grid: Mapping[str, Sequence[Any]],
                 f"grid cell {params!r} does not apply to the base "
                 f"spec: {exc}") from None
     entries = run_batch([spec.to_config() for spec in specs],
-                        workers=workers, on_error="raise", cache=cache,
-                        engine=engine)
+                        workers=workers, on_error="raise", cache=cache)
     cells = []
     aggregates = []
     flat = iter(zip(specs, entries))

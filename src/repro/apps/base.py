@@ -211,7 +211,7 @@ class Application:
     def last_post_time(self) -> float:
         """Time of the most recent post (``-inf`` before the first).
 
-        The vector fast path replays the idle-submission predicate
+        The fast-forward replays the idle-submission predicate
         against this value when deciding whether a V-Sync tick can be
         skipped.
         """

@@ -1,6 +1,6 @@
 """``repro bench`` — the performance harness and its regression gate.
 
-Three workloads cover the paths whose speed this repo actually cares
+These workloads cover the paths whose speed this repo actually cares
 about:
 
 * **meter hot path** — one :class:`~repro.core.grid.GridComparator`
@@ -11,13 +11,6 @@ about:
 * **parallel batch** — a 32-session native-resolution batch through
   :func:`repro.sim.batch.run_batch` at 1 worker and at N workers,
   yielding the scaling headline ``batch32_speedup_x``;
-* **vector batch** — an idle-heavy 32-session batch once through the
-  scalar path and once through the lockstep vector engine
-  (``engine="vector"``; see :mod:`repro.sim.vector`), yielding
-  ``vector_batch32_s`` and the headline ``vector_vs_scalar_x`` — the
-  frame-coherence fast path's reason to exist.  The harness verifies
-  both engines return byte-identical summaries before trusting either
-  timing;
 * **spec codec** — one full
   :class:`~repro.pipeline.spec.SessionSpec` round trip (config ->
   spec -> JSON -> spec -> config), the per-session dispatch overhead
@@ -55,7 +48,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .analysis.tables import format_table
-from .apps.profile import AppCategory, AppProfile, RenderStyle
 from .core.grid import GridComparator, GridSpec
 from .errors import ConfigurationError
 from .sim.batch import run_batch
@@ -69,35 +61,6 @@ METER_SAMPLE_COUNT = 9216
 
 #: Sessions in the batch-scaling workload.
 BATCH_SESSIONS = 32
-
-#: The idle-heavy vector workload: an always-on reading screen in the
-#: spirit of the paper's Section 2 redundancy examples — genuine
-#: content changes every ~20 s (a page turn, a clock tick drawn into a
-#: small region), a gentle 1 fps submission loop re-posting the
-#: unchanged frame in between, and touches so rare that the screen is
-#: static for essentially the whole session.  It runs under the stock
-#: ``fixed`` governor on the 120 Hz LTPO panel — the slow baseline arm
-#: of a survey batch, pinned at the panel maximum — so almost every
-#: composite is provably identical to the previous frame and almost
-#: every governor tick is provably inert: exactly the shape the
-#: frame-coherence fast path exists for, at the refresh rate where
-#: skipping matters most.  One profile across the batch mirrors
-#: ``_batch_configs`` (32x Facebook).
-VECTOR_BATCH_PROFILE = AppProfile(
-    name="always-on reader", category=AppCategory.GENERAL,
-    idle_content_fps=0.05, active_content_fps=2.0,
-    idle_submit_fps=1.0, touch_events_per_s=0.02,
-    render_style=RenderStyle.SMALL_REGION,
-    notes="idle-heavy vector bench workload")
-
-#: Panel the vector workload runs on (the 120 Hz LTPO preset).
-VECTOR_BATCH_PANEL = "ltpo-120"
-
-#: Session length of the vector workload.  Long enough that per-batch
-#: fixed costs (pipeline assembly, summary export) amortise and the
-#: measured ratio reflects steady-state throughput.
-VECTOR_BATCH_SESSION_S = 120.0
-
 
 def _git_rev() -> str:
     """Short git revision of the working tree, or ``"local"``."""
@@ -176,48 +139,6 @@ def _time_batch(configs: List[SessionConfig], workers: int,
         run_batch(configs, workers=workers)
         timings.append(time.perf_counter() - t0)
     return min(timings)
-
-
-def _vector_batch_configs(sessions: int, duration_s: float
-                          ) -> List[SessionConfig]:
-    """The idle-heavy batch both engines race over (default grids)."""
-    from .pipeline import PANELS
-
-    panel = PANELS.get(VECTOR_BATCH_PANEL)()
-    return [SessionConfig(app=VECTOR_BATCH_PROFILE, governor="fixed",
-                          duration_s=duration_s, seed=seed,
-                          panel=panel)
-            for seed in range(sessions)]
-
-
-def _time_vector_vs_scalar(configs: List[SessionConfig],
-                           best_of: int) -> Dict[str, float]:
-    """Best wall seconds of the idle-heavy batch on each engine.
-
-    The first pass on each engine doubles as the equivalence check:
-    the vector engine is only a performance layer, so if its
-    summaries are not byte-identical to the scalar ones the timings
-    measure a bug, not a speedup — the harness refuses to report
-    them.  Best-of minimum afterwards, same rationale as the other
-    wall timings.
-    """
-    scalar_entries = run_batch(configs, workers=1)
-    vector_entries = run_batch(configs, workers=1, engine="vector")
-    if scalar_entries != vector_entries:
-        raise ConfigurationError(
-            "vector bench is broken: scalar and vector engines "
-            "disagree on the idle-heavy batch")
-    scalar_timings = []
-    vector_timings = []
-    for _ in range(best_of):
-        t0 = time.perf_counter()
-        run_batch(configs, workers=1)
-        scalar_timings.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_batch(configs, workers=1, engine="vector")
-        vector_timings.append(time.perf_counter() - t0)
-    return {"scalar_s": min(scalar_timings),
-            "vector_s": min(vector_timings)}
 
 
 def _time_spec_roundtrip(repeats: int) -> float:
@@ -409,12 +330,6 @@ def run_bench(workers: Optional[int] = None,
     sweep_x = (sweep["cold_s"] / sweep["warm_s"]
                if sweep["warm_s"] > 0 else 0.0)
     tournament_s = _time_tournament(2.0 if fast else 5.0)
-    vector_session_s = 20.0 if fast else VECTOR_BATCH_SESSION_S
-    vector = _time_vector_vs_scalar(
-        _vector_batch_configs(sessions, vector_session_s),
-        best_of=best_of)
-    vector_x = (vector["scalar_s"] / vector["vector_s"]
-                if vector["vector_s"] > 0 else 0.0)
 
     return {
         "schema": BENCH_SCHEMA,
@@ -437,9 +352,6 @@ def run_bench(workers: Optional[int] = None,
             "sweep_warm_vs_cold_x": _metric(sweep_x, "x",
                                             higher_is_better=True),
             "tournament_small_s": _metric(tournament_s, "s"),
-            "vector_batch32_s": _metric(vector["vector_s"], "s"),
-            "vector_vs_scalar_x": _metric(vector_x, "x",
-                                          higher_is_better=True),
         },
     }
 

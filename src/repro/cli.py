@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=governor_names())
     p_run.add_argument("--oled", action="store_true",
                        help="track content-dependent OLED emission")
-    _add_engine_arg(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser(
@@ -96,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(reused across runs; identical sessions "
                             "are served from disk, byte-identical to "
                             "recomputing)")
-    _add_engine_arg(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_sweep = sub.add_parser(
@@ -153,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None, metavar="NAME=FRACTION",
                          help="per-metric threshold override "
                               "(repeatable)")
-    _add_engine_arg(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_tour = sub.add_parser(
@@ -207,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="byte-compare against a committed "
                              "repro-tournament/1 reference; any "
                              "difference exits 1")
-    _add_engine_arg(p_tour, default="auto")
     p_tour.set_defaults(func=cmd_tournament)
 
     p_export = sub.add_parser(
@@ -531,23 +527,6 @@ def _add_session_args(parser: argparse.ArgumentParser) -> None:
                              "'repro stats PATH'")
 
 
-def _add_engine_arg(parser: argparse.ArgumentParser,
-                    default: str = "scalar") -> None:
-    from .sim.batch import ENGINE_CHOICES
-    parser.add_argument("--engine", default=default,
-                        choices=ENGINE_CHOICES,
-                        help=f"execution engine (default {default}): "
-                             "'scalar' runs the reference "
-                             "per-session path; "
-                             "'auto' routes eligible sessions through "
-                             "the lockstep vector engine "
-                             "(byte-identical, faster) and falls back "
-                             "to scalar otherwise; 'vector' does the "
-                             "same but 'repro run' then *requires* "
-                             "eligibility and errors if the session "
-                             "cannot be vectorized")
-
-
 def _resolve_telemetry(args: argparse.Namespace):
     """The :class:`TelemetryConfig` requested, or None (disabled)."""
     if getattr(args, "telemetry", None) is None:
@@ -604,25 +583,14 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_with_engine(config: SessionConfig, engine: str):
-    """One session on the requested engine (same results on all)."""
-    if engine == "scalar":
-        return run_session(config)
-    if engine == "vector":
-        from .sim.vector import VectorRunner
-        return VectorRunner(config).run()
-    from .sim.vector import run_vector_session
-    return run_vector_session(config)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    result = _run_with_engine(SessionConfig(
+    result = run_session(SessionConfig(
         app=args.app, governor=args.governor,
         duration_s=args.duration, seed=args.seed,
         panel=panel_preset(args.panel),
         track_oled=args.oled,
         faults=_resolve_faults(args),
-        telemetry=_resolve_telemetry(args)), args.engine)
+        telemetry=_resolve_telemetry(args)))
     report = result.power_report()
     print(f"app:            {result.profile.name} "
           f"({result.profile.category.value})")
@@ -678,8 +646,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         from .cache import ResultCache
         cache = ResultCache(args.cache)
     summaries = run_batch(configs, workers=args.workers,
-                          on_error="raise", cache=cache,
-                          engine=args.engine)
+                          on_error="raise", cache=cache)
     if cache is not None:
         cache.write_index()
     base = summaries[0]
@@ -775,8 +742,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cache = ResultCache(args.cache)
     started = time.perf_counter()
     document = run_sweep(base, grid, seeds=seeds,
-                         workers=args.workers, cache=cache,
-                         engine=args.engine)
+                         workers=args.workers, cache=cache)
     wall_s = time.perf_counter() - started
     if args.json:
         print(json.dumps(document, indent=2, sort_keys=True))
@@ -865,7 +831,7 @@ def cmd_tournament(args: argparse.Namespace) -> int:
         cache = ResultCache(args.cache)
     started = time.perf_counter()
     document = run_tournament(config, workers=args.workers,
-                              cache=cache, engine=args.engine)
+                              cache=cache)
     wall_s = time.perf_counter() - started
     if args.json:
         print(json.dumps(document, indent=2, sort_keys=True))
@@ -887,7 +853,6 @@ def cmd_tournament(args: argparse.Namespace) -> int:
         atomic_write_json(args.stats_out, {
             "schema": TOURNAMENT_STATS_SCHEMA,
             "wall_s": wall_s,
-            "engine": args.engine,
             "cells": len(document["cells"]),
             "cache": cache.stats_dict() if cache is not None
             else None,

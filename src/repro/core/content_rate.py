@@ -245,7 +245,7 @@ class ContentRateMeter:
         exactly: the window arithmetic is the same float64 operations
         elementwise, and the windowed count uses
         :meth:`~repro.sim.tracing.EventLog.count_in_batch` (searchsorted
-        == bisect).  The vector engine uses this to price a whole run
+        == bisect).  The fast-forward uses this to price a whole run
         of governor decisions against a static meaningful-frame log.
 
         Only valid without a fault injector: injected read failures

@@ -88,7 +88,7 @@ class DoubleBuffer:
         capture still *counts* — including its bandwidth charge,
         because the real scheme would have performed the copy — and
         :attr:`previous` keeps returning the identical contents.  The
-        vector engine's bulk idle-submit skip accounts a whole run of
+        fast-forward's bulk idle-submit skip accounts a whole run of
         redundant captures in one call.
         """
         if self._captures == 0:

@@ -133,7 +133,7 @@ class TouchBoostGovernor(GovernorPolicy):
     def boost_until(self) -> float:
         """End of the current boost hold (``-inf`` before any touch).
 
-        Exposed so the vector fast path can evaluate the boost
+        Exposed so the fast-forward can evaluate the boost
         predicate (``now < boost_until``) for future decision ticks
         with the exact comparison :meth:`boosting` performs.
         """

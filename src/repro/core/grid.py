@@ -207,8 +207,8 @@ class GridComparator:
         On a proven-unchanged update the current and previous frames
         agree at every pixel — a fortiori at every sample point — so the
         gather-and-compare is skipped, but the comparison still counts
-        toward overhead accounting exactly as if it had run.  The vector
-        engine's bulk idle-submit skip accounts a whole run of such
+        toward overhead accounting exactly as if it had run.  The
+        fast-forward's bulk idle-submit skip accounts a whole run of such
         comparisons in one call.
         """
         self._comparisons += count

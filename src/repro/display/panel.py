@@ -124,7 +124,7 @@ class DisplayPanel:
 
         Distinct from :attr:`target_rate_hz`: a pending switch may
         target the *current* rate (request X then request back to the
-        current rate before the boundary), and the vector fast path
+        current rate before the boundary), and the fast-forward
         must treat any pending switch as a blocker, so it needs the
         raw latch state, not the inferred target.
         """
@@ -192,7 +192,7 @@ class DisplayPanel:
                             last_tick_time: float) -> None:
         """Account for ``count`` V-Syncs resolved analytically.
 
-        The vector fast path proves a run of V-Syncs would each fire
+        The fast-forward proves a run of V-Syncs would each fire
         with no observable effect it does not replicate itself (no
         composition, no pending rate switch); this commits the
         panel-side bookkeeping: the V-Sync counter and a fresh

@@ -12,11 +12,10 @@ Like the sweep, the output is split into two documents:
 
 * the **tournament document** (``repro-tournament/1``) holds only
   deterministic content — governors, workload labels, per-cell
-  metrics, the leaderboard — so a cold run, a cache-served warm run,
-  and runs under either batch engine are byte-identical and CI can
-  literally ``diff`` them;
+  metrics, the leaderboard — so a cold run and a cache-served warm run
+  are byte-identical and CI can literally ``diff`` them;
 * the **run-stats document** (``repro-tournament-stats/1``) holds the
-  nondeterministic rest (wall clock, cache hit/miss counts, engine).
+  nondeterministic rest (wall clock, cache hit/miss counts).
 
 Workloads come in two flavours.  Catalog cells are plain
 :class:`~repro.sim.session.SessionConfig` runs and participate fully
@@ -221,8 +220,7 @@ def _mean(values: Sequence[float]) -> Optional[float]:
 
 def _luminance_probe(config: TournamentConfig,
                      workdir: pathlib.Path,
-                     workers: Optional[int],
-                     engine: str) -> Dict[str, Any]:
+                     workers: Optional[int]) -> Dict[str, Any]:
     """Run the dark/light pair under the luminance governor.
 
     Probe cells never touch the cache (trace workloads are
@@ -243,7 +241,7 @@ def _luminance_probe(config: TournamentConfig,
                              track_oled=True)
                for label in ("dark", "light")]
     dark_summary, light_summary = run_batch(
-        configs, workers=workers, on_error="raise", engine=engine)
+        configs, workers=workers, on_error="raise")
     dark_power = dark_summary["mean_power_mw"]
     light_power = light_summary["mean_power_mw"]
     return {
@@ -259,15 +257,12 @@ def _luminance_probe(config: TournamentConfig,
 def run_tournament(config: Optional[TournamentConfig] = None, *,
                    workers: Optional[int] = None,
                    cache: Optional["ResultCache"] = None,
-                   engine: str = "auto",
                    workdir: Optional[str] = None) -> Dict[str, Any]:
     """Run the tournament; returns the deterministic document.
 
     All catalog cells fan out as one :func:`~repro.sim.batch.run_batch`
     call (cache-served where warm), all trace cells as a second
-    (uncacheable by construction); ``engine`` routes each cell through
-    the vector fast path when it is eligible and falls back to scalar
-    otherwise, with byte-identical summaries either way.  ``workdir``
+    (uncacheable by construction).  ``workdir``
     receives the generated trace files (a temporary directory when
     ``None``); the document never mentions the paths, so it is
     byte-stable across workdirs.
@@ -295,10 +290,9 @@ def run_tournament(config: Optional[TournamentConfig] = None, *,
                          for governor in governors
                          for _, app in traces]
         catalog_entries = run_batch(catalog_configs, workers=workers,
-                                    on_error="raise", cache=cache,
-                                    engine=engine)
+                                    on_error="raise", cache=cache)
         trace_entries = run_batch(trace_configs, workers=workers,
-                                  on_error="raise", engine=engine)
+                                  on_error="raise")
 
         labels = ([f"app:{app}" for app in config.apps]
                   + [label for label, _ in traces])
@@ -322,8 +316,7 @@ def run_tournament(config: Optional[TournamentConfig] = None, *,
         probe = None
         if config.luminance_probe and \
                 "luminance" in GOVERNOR_CHOICES:
-            probe = _luminance_probe(config, trace_dir, workers,
-                                     engine)
+            probe = _luminance_probe(config, trace_dir, workers)
     finally:
         if cleanup is not None:
             cleanup.cleanup()

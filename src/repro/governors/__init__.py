@@ -24,11 +24,10 @@ Policy classes only: selector strings register as builtins in
 :mod:`repro.pipeline.governors` (``luminance`` / ``scene`` /
 ``burst`` / ``predictive``), which keeps one source of truth for
 names and ships factories to batch workers by module import, exactly
-like the original seven.  None of the four is vector-eligible — they
-are stateful or read live pixels — so the
-:func:`~repro.pipeline.eligibility.probe_vector_eligibility` probe
-routes them to the scalar engine transparently under
-``engine="auto"``/``"vector"``.
+like the original seven.  None of the four is on the fast-forward's
+allowlist (:data:`repro.sim.fastforward.REPLICABLE_GOVERNORS`) — they
+are stateful or read live pixels — so their sessions fire every
+tick.
 """
 
 from .burst import BurstRefreshGovernor

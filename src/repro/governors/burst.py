@@ -15,7 +15,7 @@ content rate actually needs (``content / ceiling``), and at the floor
 for the rest.  A fully-busy screen degenerates to the fixed maximum;
 a static screen sits at the floor — the same envelope real bursting
 produces, with the burst phase pinned to the simulation clock so
-every engine and worker count replays it identically.
+every run and worker count replays it identically.
 """
 
 from __future__ import annotations

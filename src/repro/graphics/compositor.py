@@ -18,7 +18,10 @@ whole frame (the simulator's ground truth).  When that check proves the
 new frame identical to what the framebuffer already holds, the update
 is delivered as :meth:`~repro.graphics.framebuffer.Framebuffer
 .write_unchanged`: no pixel moves, and every framebuffer listener can
-reuse the judgement instead of repeating it.
+reuse the judgement instead of repeating it.  A composite whose posts
+all declare unchanged content, over a stack where no surface is
+damaged or moved, is proven identical without the compare: it skips
+the blit as well.
 
 The compositor keeps two frame buffers, the one being composited and
 the previous composite, and moves no byte it can prove is already in
@@ -71,12 +74,10 @@ class SurfaceManager:
         self._compositions = 0
         self._redundant_compositions = 0
         self._listeners: List[CompositionListener] = []
-        # Frame-coherence fast path (opt-in, see
-        # enable_coherence_fast_path): the stack rects of the last
-        # full composite, or None once a surface was registered or
-        # unregistered since.  The stack is coherent while they equal
-        # the current rects, so moving a surface breaks coherence too.
-        self._fast_path = False
+        # Frame coherence: the stack rects of the last full composite,
+        # or None once a surface was registered or unregistered since.
+        # The stack is coherent while they equal the current rects, so
+        # moving a surface breaks coherence too.
         self._coherent_rects: Optional[StackRects] = None
         self._pending_dirty = False
         # Framebuffer generation right after this compositor's last
@@ -126,9 +127,9 @@ class SurfaceManager:
         ``content_changed=False`` is the poster's declaration that the
         surface pixels are untouched since its last post (an idle
         repost — the paper's "redundant frame").  The declaration only
-        feeds the opt-in coherence fast path, and is cross-checked
-        against surface damage there; posters that cannot make it
-        simply use the default.
+        feeds the coherence check of :meth:`on_vsync`, and is
+        cross-checked against surface damage there; posters that cannot
+        make it simply use the default.
         """
         if surface not in self._surfaces:
             raise GraphicsError(
@@ -136,20 +137,6 @@ class SurfaceManager:
         self._pending[surface.name] = surface
         if content_changed:
             self._pending_dirty = True
-
-    def enable_coherence_fast_path(self) -> None:
-        """Opt in to skipping provably-redundant compositions.
-
-        When every pending post declares ``content_changed=False``, no
-        registered surface is damaged, and the previous full composite
-        is still current, the composited frame is byte-identical to
-        what the framebuffer already holds — so :meth:`on_vsync` skips
-        the blit/compare/copy entirely and performs the same
-        accounting.  Off by default: the scalar reference path keeps
-        doing the full work so equivalence tests compare against an
-        unmodified baseline.
-        """
-        self._fast_path = True
 
     @property
     def has_pending_posts(self) -> bool:
@@ -162,11 +149,15 @@ class SurfaceManager:
 
         With no pending posts the framebuffer is untouched — no frame
         update, no composition work, exactly like the real pipeline
-        idling on a static screen.
+        idling on a static screen.  When every pending post declares
+        its content unchanged, no surface is damaged and the previous
+        full composite is still current, the frame would be
+        byte-identical to what the framebuffer holds: the blit, compare
+        and copy are skipped and the same accounting is performed.
         """
         if not self._pending:
             return False
-        if self._fast_path and self._absorbs_pending_posts():
+        if self._absorbs_pending_posts():
             # Every pending post declared its pixels unchanged, no
             # surface mutated since the last full composite (damage
             # cross-check), and _previous still mirrors the
@@ -238,11 +229,11 @@ class SurfaceManager:
         """True when compositing the pending posts provably reproduces
         the framebuffer: coherent stack (same surfaces at the same
         rects), current framebuffer, no post declaring changed content
-        and no damaged surface.  The vector engine's idle-skip proof
+        and no damaged surface.  The fast-forward's idle-skip proof
         reuses this predicate."""
-        return (self._coherent_rects == self._stack_rects()
+        return (not self._pending_dirty
                 and self._framebuffer_current()
-                and not self._pending_dirty
+                and self._coherent_rects == self._stack_rects()
                 and not any(s.is_damaged for s in self._surfaces))
 
     def _write_unchanged(self, time: float) -> None:

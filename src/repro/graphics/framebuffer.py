@@ -8,7 +8,7 @@ framebuffer *updates* (writes), not panel *refreshes*.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -28,31 +28,15 @@ class Framebuffer:
         Panel resolution in pixels.  The paper's Galaxy S3 is 720x1280;
         simulations default to a scaled-down buffer for speed (the
         metering code is resolution-independent).
-    storage:
-        Optional pre-allocated ``(height, width, 3)`` uint8 array to
-        use as the pixel store instead of allocating one.  The vector
-        engine passes one row of its ``(n, height, width, 3)``
-        struct-of-arrays block so a batch of framebuffers is a single
-        contiguous allocation it can gather across; semantics are
-        unchanged (the array is zeroed on adoption).
     """
 
     CHANNELS = 3
 
-    def __init__(self, width: int, height: int,
-                 storage: Optional[np.ndarray] = None) -> None:
+    def __init__(self, width: int, height: int) -> None:
         self.width = ensure_positive_int(width, "width")
         self.height = ensure_positive_int(height, "height")
-        shape = (height, width, self.CHANNELS)
-        if storage is None:
-            self._pixels = np.zeros(shape, dtype=np.uint8)
-        else:
-            if storage.shape != shape or storage.dtype != np.uint8:
-                raise GraphicsError(
-                    f"framebuffer storage must be uint8 {shape}, got "
-                    f"{storage.dtype} {storage.shape}")
-            storage[...] = 0
-            self._pixels = storage
+        self._pixels = np.zeros((height, width, self.CHANNELS),
+                                dtype=np.uint8)
         self._generation = 0
         self._last_update_time = 0.0
         self._last_write_unchanged = False

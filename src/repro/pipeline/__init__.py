@@ -21,10 +21,6 @@ names and specs) and *how* it runs (wired component graphs):
 ``builder``
     :class:`SessionBuilder`, the staged assembly that
     :func:`~repro.sim.session.run_session` now delegates to.
-``eligibility``
-    :func:`probe_vector_eligibility`, the probe deciding whether a
-    spec can run on the lockstep vector engine
-    (:mod:`repro.sim.vector`) or must take the scalar path.
 ``baseline``
     The shared stock-device (``fixed``) baseline helper the figures
     compare against.
@@ -38,12 +34,6 @@ from .builder import (
     SCROLL_MOVE_EVENT_HZ,
     SessionBuilder,
     run_spec,
-)
-from .eligibility import (
-    VECTOR_GOVERNORS,
-    VectorEligibility,
-    probe_vector_eligibility,
-    vector_eligible,
 )
 from .governors import (
     GOVERNOR_E3,
@@ -113,11 +103,6 @@ __all__ = [
     "SessionBuilder",
     "run_spec",
     "SCROLL_MOVE_EVENT_HZ",
-    # vector-engine eligibility
-    "VECTOR_GOVERNORS",
-    "VectorEligibility",
-    "probe_vector_eligibility",
-    "vector_eligible",
     # baseline helper
     "fixed_baseline_config",
     "run_fixed_baseline",

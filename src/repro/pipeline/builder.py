@@ -29,9 +29,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, TypeVar, Union
 
-import numpy as np
-import numpy.typing as npt
-
 from ..apps.base import Application
 from ..apps.profile import (
     AppCategory,
@@ -101,11 +98,6 @@ class SessionBuilder:
         self.driver: Optional[GovernorDriver] = None
         self.touch_script: Optional[TouchScript] = None
         self.touch_source: Optional[TouchSource] = None
-        # Optional pre-allocated framebuffer pixel storage.  The
-        # vector engine sets this (one row of its struct-of-arrays
-        # block) before stages run so a whole batch of framebuffers
-        # shares one contiguous allocation; None allocates normally.
-        self.framebuffer_storage: Optional["npt.NDArray[np.uint8]"] = None
         self._completed_stages: Dict[str, bool] = {}
 
     @classmethod
@@ -154,8 +146,7 @@ class SessionBuilder:
         spec = config.panel
         fb_width = max(8, spec.width // config.resolution_divisor)
         fb_height = max(8, spec.height // config.resolution_divisor)
-        self.framebuffer = Framebuffer(
-            fb_width, fb_height, storage=self.framebuffer_storage)
+        self.framebuffer = Framebuffer(fb_width, fb_height)
         self.compositor = SurfaceManager(self.framebuffer)
         self.panel = DisplayPanel(self.sim, spec,
                                   injector=self.injector,

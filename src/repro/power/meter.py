@@ -22,9 +22,8 @@ def integrate_segments(values: Union[Sequence[float], np.ndarray],
     """Integrate a piecewise-constant signal from per-segment values
     and durations.
 
-    The single implementation of the energy integral, shared by
-    :meth:`repro.sim.tracing.StepSeries.integrate` (scalar sessions)
-    and the vector engine's batched power integration.  Per-segment
+    The single implementation of the energy integral, behind
+    :meth:`repro.sim.tracing.StepSeries.integrate`.  Per-segment
     products are computed vectorised, but the accumulation stays
     **sequential in segment order**: IEEE-754 addition is not
     associative, and byte-identical summaries require the exact floats

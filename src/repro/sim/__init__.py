@@ -3,33 +3,14 @@
 This package provides the event-driven clock every other subsystem hangs
 off: the :class:`~repro.sim.engine.Simulator` core, periodic-task helpers,
 and trace-recording utilities used to collect the time series that the
-paper's figures are built from.  Two execution engines drive sessions
-over that substrate: the scalar :class:`~repro.sim.runner.SessionRunner`
-and the lockstep :mod:`~repro.sim.vector` engine (byte-identical
-results; see ``docs/architecture.md``).
+paper's figures are built from.  :class:`~repro.sim.runner.SessionRunner`
+drives sessions over that substrate, skipping the ticks
+:mod:`~repro.sim.fastforward` proves inert (see
+``docs/architecture.md``).
 """
-
-from typing import Any
 
 from .engine import EventHandle, PeriodicTask, Simulator
 from .tracing import EventLog, StepSeries, TimeSeries, TraceSet
-
-#: Vector-engine names exported lazily (PEP 562): :mod:`repro.sim` is
-#: imported by the lowest layers of the package, and the vector engine
-#: sits at the top of the stack — an eager import here would be
-#: circular.  ``from repro.sim import VectorRunner`` still works.
-_VECTOR_EXPORTS = ("VectorEngine", "VectorRunner",
-                   "run_vector_batch", "run_vector_session")
-
-
-def __getattr__(name: str) -> Any:
-    if name in _VECTOR_EXPORTS:
-        from . import vector
-
-        return getattr(vector, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "EventHandle",
@@ -39,8 +20,4 @@ __all__ = [
     "StepSeries",
     "TimeSeries",
     "TraceSet",
-    "VectorEngine",
-    "VectorRunner",
-    "run_vector_batch",
-    "run_vector_session",
 ]

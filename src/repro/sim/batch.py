@@ -102,16 +102,6 @@ _PLUGIN_REGISTRIES = {
 #: ``on_error`` modes of :func:`run_batch`.
 ON_ERROR_CHOICES = ("record", "raise")
 
-#: ``engine`` modes of :func:`run_batch` (and the CLI ``--engine``
-#: flag).  ``scalar`` runs every session on the classic per-session
-#: object-graph path; ``vector`` and ``auto`` route vector-eligible
-#: sessions (see :func:`repro.pipeline.eligibility
-#: .probe_vector_eligibility`) through the lockstep vector engine
-#: first — ineligible sessions always fall back to the scalar path, so
-#: the two non-scalar modes differ only in intent, not behaviour.
-#: Results are byte-identical across all three modes.
-ENGINE_CHOICES = ("auto", "scalar", "vector")
-
 #: Multiprocessing start methods :func:`run_batch` accepts.  ``spawn``
 #: is the default: it works on every platform and never inherits
 #: parent state, so the pooled path stays correct wherever the serial
@@ -449,8 +439,7 @@ def run_batch(configs: Sequence[SessionConfig],
               mp_context: str = "spawn",
               chunksize: Optional[int] = None,
               stream_path: Optional[str] = None,
-              cache: Optional["ResultCache"] = None,
-              engine: str = "scalar") -> List[Dict]:
+              cache: Optional["ResultCache"] = None) -> List[Dict]:
     """Run many sessions, in parallel when it pays off.
 
     Parameters
@@ -520,16 +509,6 @@ def run_batch(configs: Sequence[SessionConfig],
         configs (trace replays, JSONL-sink telemetry, lossy specs —
         see ``docs/caching.md``) simply run as usual.  ``progress``
         still fires once per config; cache hits resolve first.
-    engine:
-        Execution engine (:data:`ENGINE_CHOICES`).  With ``"vector"``
-        or ``"auto"``, cache-missing vector-eligible configs run
-        in-process through one lockstep
-        :class:`~repro.sim.vector.VectorEngine` *before* anything is
-        pooled; ineligible configs (and any config the vector path
-        cannot take) continue through the scalar serial/pooled path
-        exactly as with ``"scalar"``.  Vector results are
-        byte-identical to scalar ones, so they share the cache and the
-        merged telemetry stream unchanged.
     """
     configs = list(configs)
     if not configs:
@@ -564,9 +543,6 @@ def run_batch(configs: Sequence[SessionConfig],
         raise ConfigurationError(
             "per-session timeout_s requires per-session dispatch; "
             f"chunksize must be 1 (got {chunksize})")
-    if engine not in ENGINE_CHOICES:
-        raise ConfigurationError(
-            f"engine must be one of {ENGINE_CHOICES}, got {engine!r}")
 
     strict = on_error == "raise"
     capture = stream_path is not None
@@ -598,38 +574,6 @@ def run_batch(configs: Sequence[SessionConfig],
         if slots[index] is not None:
             done += 1
             _note(done, slots[index]["entry"])
-
-    # Vector routing: before anything is pooled, cache-missing
-    # eligible configs advance together through one lockstep vector
-    # engine (in-process — the vector path needs no worker pool to be
-    # fast).  Slots fill exactly as cache hits do, results are
-    # byte-identical to the scalar path, and fresh successes populate
-    # the cache just like pooled ones.
-    if engine != "scalar" and to_run:
-        from ..pipeline.eligibility import vector_eligible
-        from .vector import run_vector_batch
-
-        def _is_eligible(config: SessionConfig) -> bool:
-            try:
-                return vector_eligible(config)
-            except Exception:  # noqa: BLE001 - probe says scalar path
-                return False
-
-        vectorizable = [(index, config) for index, config in to_run
-                        if _is_eligible(config)]
-        if vectorizable:
-            payloads = run_vector_batch(
-                [config for _, config in vectorizable])
-            for (index, _), payload in zip(vectorizable, payloads):
-                slots[index] = payload
-                key = miss_keys.get(index)
-                if cache is not None and key is not None and \
-                        not is_failure_record(payload["entry"]):
-                    cache.put(key, payload)
-                done += 1
-                _note(done, payload["entry"])
-            to_run = [(index, config) for index, config in to_run
-                      if slots[index] is None]
 
     def _note_run(resolved: int, entry: Dict) -> None:
         _note(done + resolved, entry)

@@ -94,6 +94,7 @@ class Simulator:
         self._running = False
         self._processed = 0
         self._cancelled_pending = 0
+        self._pause = False
 
     # ------------------------------------------------------------------
     # Clock
@@ -194,6 +195,10 @@ class Simulator:
         ``run_until`` again with the same ``end_time`` resumes exactly
         where the previous call stopped — event order is owned by the
         heap, not by call boundaries.
+
+        A callback may :meth:`request_pause`: the call then returns
+        before the next event, the same way, and :attr:`paused` is true
+        until the next call.
         """
         if end_time < self._now:
             raise SimulationError(
@@ -203,10 +208,13 @@ class Simulator:
         if self._running:
             raise SimulationError("run_until called re-entrantly")
         self._running = True
+        self._pause = False
         fired = 0
         try:
             while self._queue and self._queue[0][0] <= end_time:
                 if max_events is not None and fired >= max_events:
+                    return fired
+                if self._pause:
                     return fired
                 time, _, handle = heapq.heappop(self._queue)
                 if handle._cancelled:
@@ -218,6 +226,7 @@ class Simulator:
                 handle._callback(self)
                 fired += 1
             self._now = end_time
+            self._pause = False
         finally:
             self._running = False
         return fired
@@ -252,13 +261,23 @@ class Simulator:
             self._running = False
 
     # ------------------------------------------------------------------
-    # Fine-grained stepping (vector-engine fast path)
+    # Skipping inert ticks (see repro.sim.fastforward)
     # ------------------------------------------------------------------
-    # These primitives let an external controller replicate exactly what
-    # run_until would do — fire one event, observe the next live event,
-    # account for analytically-skipped ticks — without owning the loop.
-    # The scalar path never calls them; byte-equivalence of the vector
-    # path rests on each primitive matching run_until's semantics.
+    # These primitives let the fast-forward controller hand-off from
+    # run_until, observe the next live event and account for ticks it
+    # resolved analytically.  Byte-equivalence with plain stepping rests
+    # on each one matching run_until's semantics.
+
+    def request_pause(self) -> None:
+        """Make the running :meth:`run_until` return before its next
+        event (callbacks call this; the current event completes)."""
+        self._pause = True
+
+    @property
+    def paused(self) -> bool:
+        """True when the last :meth:`run_until` returned early because
+        a callback requested a pause."""
+        return self._pause
 
     def peek_next_live(self) -> Optional[EventHandle]:
         """The next live event, or ``None`` if the queue is drained.
@@ -275,9 +294,10 @@ class Simulator:
                                  ) -> Optional[float]:
         """Earliest live event time ignoring the given handles.
 
-        A linear scan over the heap — O(queue), acceptable because the
-        fast-path controller calls it once per *skip region*, not per
-        tick, and heap compaction keeps the queue small.
+        A linear scan over the heap — O(queue).  The fast-forward
+        controller calls it once per skip *attempt* that survives its
+        cheaper checks, not per tick, and heap compaction keeps the
+        queue small.
         """
         skip = {id(handle) for handle in exclude}
         best: Optional[float] = None
@@ -288,37 +308,11 @@ class Simulator:
                 best = time
         return best
 
-    def step_one(self, end_time: float) -> bool:
-        """Fire the single next live event if it lies at or before
-        ``end_time``.  Returns True if an event fired.
-
-        Unlike :meth:`run_until` the clock is *not* jumped to
-        ``end_time`` when no event fires — pair with
-        :meth:`advance_clock` to finish a slice.
-        """
-        if self._running:
-            raise SimulationError("step_one called re-entrantly")
-        while self._queue and self._queue[0][0] <= end_time:
-            time, _, handle = heapq.heappop(self._queue)
-            if handle._cancelled:
-                self._cancelled_pending -= 1
-                continue
-            self._running = True
-            try:
-                self._now = time
-                handle._fired = True
-                self._processed += 1
-                handle._callback(self)
-            finally:
-                self._running = False
-            return True
-        return False
-
     def advance_clock(self, end_time: float) -> None:
         """Jump the clock to ``end_time`` without firing anything.
 
         This is the final clock jump of :meth:`run_until` split out for
-        callers that stepped events themselves.  Jumping over a live
+        a caller that resolved ticks itself.  Jumping over a live
         event would silently reorder the timeline, so it is an error.
         """
         if end_time < self._now:
@@ -334,10 +328,10 @@ class Simulator:
     def credit_skipped(self, count: int) -> None:
         """Account for ``count`` events resolved analytically.
 
-        The fast path proves a run of ticks is observationally inert
+        The fast-forward proves a run of ticks is observationally inert
         and skips firing them; crediting keeps ``events_processed`` —
-        part of the checkpoint/digest contract — identical to a scalar
-        run that fired every tick.
+        part of the checkpoint/digest contract — identical to a run that
+        fired every tick.
         """
         if count < 0:
             raise SimulationError(
@@ -409,7 +403,7 @@ class PeriodicTask:
     def fast_forward(self, count: int, last_fire_time: float) -> None:
         """Account for ``count`` ticks resolved analytically.
 
-        The vector fast path proves a run of ticks would each fire the
+        The fast-forward proves a run of ticks would each fire the
         callback with no observable effect beyond bookkeeping it
         replicates itself; this commits the task-side bookkeeping: tick
         count, last-fire time, and a fresh next-tick handle at

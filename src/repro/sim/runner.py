@@ -53,6 +53,7 @@ import numpy as np
 from ..errors import CheckpointError, SimulationError
 from ..ioutil import atomic_write_json
 from ..pipeline.builder import SessionBuilder, finalize_telemetry
+from .fastforward import FastForward
 
 if TYPE_CHECKING:
     from .session import SessionConfig, SessionResult
@@ -85,6 +86,11 @@ class SessionRunner:
     :class:`~repro.sim.session.SessionResult` the monolithic path
     returned.  :meth:`run` does all three, and is exactly what
     ``run_session`` executes.
+
+    Sessions the fast-forward gate admits skip V-Sync and decision
+    ticks they can prove inert (:mod:`repro.sim.fastforward`); every
+    output, ``events_processed`` and ``state_digest`` included, is
+    byte-identical to firing each tick.
     """
 
     def __init__(self, source: Union["SessionConfig", SessionBuilder],
@@ -94,6 +100,7 @@ class SessionRunner:
         else:
             self.builder = SessionBuilder(source)
         self.builder.assemble()
+        self._fast_forward = FastForward.attach(self.builder)
         self._started = False
         self._finished = False
         self._result: Optional["SessionResult"] = None
@@ -182,7 +189,9 @@ class SessionRunner:
         if until_s <= self.now:
             return 0
         telemetry = self.builder.telemetry
-        if telemetry is not None and telemetry.profile_spans:
+        if self._fast_forward is not None:
+            fired = self._fast_forward.advance(until_s, max_events)
+        elif telemetry is not None and telemetry.profile_spans:
             with telemetry.span("runner.advance", self.now):
                 fired = self.sim.run_until(until_s, max_events)
         else:
@@ -428,42 +437,8 @@ def load_checkpoint(path: PathLike) -> Dict[str, Any]:
     return validate_checkpoint(document, where=str(path))
 
 
-def _runner_for_engine(config: "SessionConfig",
-                       engine: str) -> SessionRunner:
-    """A runner for ``config`` on the requested execution engine.
-
-    ``"scalar"`` builds the reference :class:`SessionRunner`;
-    ``"auto"`` builds a :class:`~repro.sim.vector.VectorRunner` when
-    the config is vector-eligible and falls back to scalar otherwise;
-    ``"vector"`` requires eligibility (the eligibility error
-    propagates).  Both runners share the checkpoint/digest contract —
-    identical ``events_processed``, identical ``state_digest`` at
-    every advance boundary — so the choice never changes what a resume
-    verifies, only how fast the replay reaches the checkpoint.
-    """
-    if engine == "scalar":
-        return SessionRunner(config)
-    from ..pipeline.eligibility import probe_vector_eligibility
-    from .vector import VectorRunner
-
-    if engine == "auto":
-        try:
-            if not probe_vector_eligibility(config).eligible:
-                return SessionRunner(config)
-        except Exception:  # noqa: BLE001 - probe failure => scalar
-            return SessionRunner(config)
-        return VectorRunner(config)
-    if engine == "vector":
-        return VectorRunner(config)
-    from ..errors import ConfigurationError
-
-    raise ConfigurationError(
-        f"engine must be 'scalar', 'auto' or 'vector', got {engine!r}")
-
-
 def resume_runner(document: Dict[str, Any],
-                  max_events: Optional[int] = None,
-                  engine: str = "scalar") -> SessionRunner:
+                  max_events: Optional[int] = None) -> SessionRunner:
     """Rebuild a runner from a checkpoint document and fast-forward it.
 
     The pipeline is reconstructed from the embedded spec and replayed
@@ -471,11 +446,6 @@ def resume_runner(document: Dict[str, Any],
     match the checkpointed ``events_processed`` and ``digest`` exactly,
     or :class:`~repro.errors.CheckpointError` is raised (resuming from
     state that cannot be verified would risk silently wrong results).
-
-    ``engine`` selects the replay engine (see :func:`_runner_for_engine`).
-    A vector replay still verifies against digests recorded by a scalar
-    run — the digest match then additionally proves the two engines
-    reached byte-identical state.
     """
     from ..pipeline.spec import SessionSpec
 
@@ -488,7 +458,7 @@ def resume_runner(document: Dict[str, Any],
             f"checkpoint spec cannot be decoded: {exc}",
             context={"subsystem": "checkpoint",
                      "error_type": type(exc).__name__}) from exc
-    runner = _runner_for_engine(config, engine)
+    runner = SessionRunner(config)
     sim_time_s = float(document["sim_time_s"])
     if sim_time_s > config.duration_s:
         raise CheckpointError(
@@ -519,8 +489,6 @@ def resume_runner(document: Dict[str, Any],
 
 
 def resume_from_file(path: PathLike,
-                     max_events: Optional[int] = None,
-                     engine: str = "scalar") -> SessionRunner:
+                     max_events: Optional[int] = None) -> SessionRunner:
     """:func:`load_checkpoint` + :func:`resume_runner` in one step."""
-    return resume_runner(load_checkpoint(path), max_events=max_events,
-                         engine=engine)
+    return resume_runner(load_checkpoint(path), max_events=max_events)

@@ -49,8 +49,8 @@ class EventLog:
     def extend(self, times: Sequence[float]) -> None:
         """Record a non-decreasing run of events in one call.
 
-        Equivalent to appending each element in order — the vector
-        engine's bulk idle-submit skip lands a whole region's worth of
+        Equivalent to appending each element in order — the
+        fast-forward's bulk idle-submit skip lands a whole region's worth of
         timestamps per log this way instead of one ``append`` per
         skipped tick.  The monotonicity invariant is enforced over the
         run and against the existing tail before anything lands.
@@ -96,7 +96,7 @@ class EventLog:
         ``np.searchsorted(side="right")`` over the same float64 values
         is ``bisect.bisect_right`` (both are pure comparisons, no
         arithmetic).  This is the batched meter-window kernel the
-        vector engine uses to price a whole run of governor decisions
+        fast-forward uses to price a whole run of governor decisions
         in one pass.
         """
         start_arr = np.asarray(starts, dtype=np.float64)
@@ -223,8 +223,8 @@ class StepSeries:
 
         # Walk transitions that fall inside the window, collecting the
         # (value, duration) of each constant segment; the kernel owns
-        # the arithmetic so scalar and vector paths share one
-        # implementation of the math.
+        # the arithmetic so every caller shares one implementation of
+        # the math.
         values: List[float] = []
         durations: List[float] = []
         idx = bisect.bisect_right(self._times, start) - 1
@@ -276,8 +276,8 @@ class TimeSeries:
                values: Sequence[float]) -> None:
         """Record a non-decreasing run of samples in one call.
 
-        Equivalent to appending each pair in order — the vector
-        engine's fast path commits a whole region of analytically
+        Equivalent to appending each pair in order — the
+        fast-forward commits a whole region of analytically
         resolved governor decisions this way.  Monotonicity is checked
         over the run and against the existing tail before anything
         lands.

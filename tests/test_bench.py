@@ -19,7 +19,6 @@ METRICS = ("meter_compare_9k_s", "spec_roundtrip_s",
            "batch32_workers1_s", "batch32_workersN_s",
            "batch32_speedup_x", "expose_render_s",
            "sweep_warm_vs_cold_x",
-           "vector_batch32_s", "vector_vs_scalar_x",
            "tournament_small_s")
 
 

@@ -48,13 +48,10 @@ def _brute_composite(shape, surfaces) -> np.ndarray:
     return frame
 
 
-def _walk(width: int, height: int, fast_path: bool, seed: int,
-          steps: int = 300) -> None:
+def _walk(width: int, height: int, seed: int, steps: int = 300) -> None:
     rng = np.random.default_rng(seed)
     fb = Framebuffer(width, height)
     comp = SurfaceManager(fb)
-    if fast_path:
-        comp.enable_coherence_fast_path()
     base = Surface(width, height, name="base", z_order=0)
     overlay = Surface(3, 2, name="overlay", z_order=1)
     base.fill((40, 40, 40))
@@ -118,8 +115,14 @@ def _walk(width: int, height: int, fast_path: bool, seed: int,
 @pytest.mark.parametrize("width, height", [(8, 6), (10, 6), (7, 5)],
                          ids=["144B", "180B", "105B"])
 @pytest.mark.parametrize("seed", range(4))
-def test_reuse_matches_brute_force(width, height, fast_path, seed):
-    _walk(width, height, fast_path, seed)
+def test_reuse_matches_brute_force(width, height, fast_path, seed,
+                                   monkeypatch):
+    if not fast_path:
+        # Composite every post in full: the coherence check never
+        # absorbs one.
+        monkeypatch.setattr(SurfaceManager, "_absorbs_pending_posts",
+                            lambda self: False)
+    _walk(width, height, seed)
 
 
 @pytest.mark.parametrize("nbytes, word", [
@@ -134,7 +137,6 @@ def test_moving_a_surface_defeats_the_fast_path():
     # but the frame changes: the composite must run.
     fb = Framebuffer(8, 6)
     comp = SurfaceManager(fb)
-    comp.enable_coherence_fast_path()
     overlay = Surface(2, 2, name="overlay")
     overlay.fill((9, 9, 9))
     comp.register_surface(overlay)

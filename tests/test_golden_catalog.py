@@ -1,9 +1,9 @@
-"""Golden pin for scalar catalog sessions.
+"""Golden pin for catalog sessions.
 
-Each case runs one session on the scalar :class:`SessionRunner` and
+Each case runs one session on :class:`SessionRunner` and
 compares its summary, its ``state_digest`` and the meter's counters
 byte for byte against ``tests/data/golden_catalog.json``.  Together
-they fix every number a scalar catalog session reports, so a
+they fix every number a catalog session reports, so a
 performance change to the frame path (compositor, meter, OLED pricing)
 that alters any output fails here.
 

@@ -1,11 +1,11 @@
 """The governor zoo: policy behaviour, registration, touch-boost
-chaining, and the vector-eligibility allowlist regression.
+chaining, and the fast-forward allowlist regression.
 
 The four related-work governors (luminance, scene, burst, predictive)
 are registered builtins, so they must behave like any other selector:
 valid in :class:`~repro.sim.session.SessionConfig`, identical serial
-vs pooled, and routed to the scalar engine by the eligibility probe
-(none of them are on the vector allowlist).
+vs pooled, and kept off the fast-forward by its gate (none of them are
+on its allowlist), so their sessions fire every tick.
 """
 
 import json
@@ -24,18 +24,14 @@ from repro.governors import (
     SceneRateGovernor,
 )
 from repro.graphics.framebuffer import Framebuffer
-from repro.pipeline.eligibility import (
-    CODE_GOVERNOR,
-    VECTOR_GOVERNORS,
-    probe_vector_eligibility,
-)
 from repro.pipeline.governors import GOVERNORS, GovernorContext
 from repro.power.oled import OledModel
 from repro.sim.batch import run_batch
 from repro.sim.session import GOVERNOR_CHOICES, SessionConfig, \
     run_session
+from repro.sim.fastforward import REPLICABLE_GOVERNORS, _gate
+from repro.sim.runner import SessionRunner
 from repro.sim.tracing import EventLog
-from repro.sim.vector import VectorRunner
 
 ZOO = ("luminance", "scene", "burst", "predictive")
 
@@ -322,7 +318,7 @@ class TestTouchBoostChaining:
 
 
 # ----------------------------------------------------------------------
-# Vector-eligibility allowlist (bugfix regression)
+# Fast-forward allowlist (bugfix regression)
 # ----------------------------------------------------------------------
 class ThirdPartyGovernor(GovernorPolicy):
     name = "third-party"
@@ -352,54 +348,38 @@ def third_party_governor():
 class TestEligibilityAllowlist:
     def test_zoo_is_off_the_allowlist(self):
         for governor in ZOO:
-            assert governor not in VECTOR_GOVERNORS
+            assert governor not in REPLICABLE_GOVERNORS
 
     @pytest.mark.parametrize("governor", ZOO)
     def test_zoo_governor_probes_ineligible_with_code(self, governor):
-        verdict = probe_vector_eligibility(SessionConfig(
-            app="Facebook", governor=governor, duration_s=3.0))
-        assert not verdict.eligible
-        assert verdict.codes == (CODE_GOVERNOR,)
-        assert len(verdict.codes) == len(verdict.reasons)
+        assert _gate(SessionConfig(
+            app="Facebook", governor=governor,
+            duration_s=3.0)) == ("governor",)
 
     def test_eligible_config_has_no_codes(self):
-        verdict = probe_vector_eligibility(SessionConfig(
-            app="Facebook", governor="fixed", duration_s=3.0))
-        assert verdict.eligible
-        assert verdict.codes == ()
-        assert verdict.reasons == ()
+        assert _gate(SessionConfig(
+            app="Facebook", governor="fixed", duration_s=3.0)) == ()
 
     def test_third_party_governor_probes_ineligible(
             self, third_party_governor):
-        verdict = probe_vector_eligibility(SessionConfig(
-            app="Facebook", governor="third-party", duration_s=3.0))
-        assert not verdict.eligible
-        assert CODE_GOVERNOR in verdict.codes
-        assert "third-party" in " ".join(verdict.reasons)
-
-    def test_vector_runner_refuses_with_codes(
-            self, third_party_governor):
-        config = SessionConfig(app="Facebook",
-                               governor="third-party",
-                               duration_s=3.0)
-        with pytest.raises(ConfigurationError) as excinfo:
-            VectorRunner(config)
-        assert CODE_GOVERNOR in excinfo.value.context["codes"]
+        assert _gate(SessionConfig(
+            app="Facebook", governor="third-party",
+            duration_s=3.0)) == ("governor",)
 
     def test_auto_and_vector_route_to_scalar_byte_identical(
             self, third_party_governor):
         # Regression: a registry-registered governor must never reach
-        # the vector fast path; `auto`/`vector` fall back to scalar
-        # and the summaries are byte-identical to an explicit scalar
-        # run.
+        # the fast-forward; its sessions fire every tick and batch
+        # runs match one-session runs byte for byte.
         configs = [SessionConfig(app="Facebook",
                                  governor="third-party",
                                  duration_s=3.0, seed=seed)
                    for seed in (1, 2)]
-        scalar = run_batch(configs, engine="scalar")
-        auto = run_batch(configs, engine="auto")
-        vector = run_batch(configs, engine="vector")
-        scalar_text = json.dumps(scalar, sort_keys=True)
-        assert scalar_text == json.dumps(auto, sort_keys=True)
-        assert scalar_text == json.dumps(vector, sort_keys=True)
-        assert all(s["governor"] == "third-party" for s in scalar)
+        for config in configs:
+            assert SessionRunner(config)._fast_forward is None
+        batch = run_batch(configs, workers=1)
+        single = [run_batch([config], workers=1)[0]
+                  for config in configs]
+        assert json.dumps(batch, sort_keys=True) == \
+            json.dumps(single, sort_keys=True)
+        assert all(s["governor"] == "third-party" for s in batch)

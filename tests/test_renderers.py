@@ -186,3 +186,65 @@ class TestMovingSpritesRenderer:
     def test_invalid_background_rejected(self):
         with pytest.raises(ConfigurationError):
             MovingSpritesRenderer(background=300)
+
+
+def _renderer_family():
+    """Every concrete renderer class, found by subclass walk."""
+    import repro.apps  # noqa: F401  (imports every renderer user)
+    from repro.graphics.renderers import Renderer
+
+    found, pending = [], list(Renderer.__subclasses__())
+    while pending:
+        cls = pending.pop()
+        if cls not in found:
+            found.append(cls)
+            pending.extend(cls.__subclasses__())
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+class _Fill:
+    """``Surface.fill`` with a colour drawn from the generator; two
+    draws in three repeat the last colour."""
+
+    def __init__(self):
+        self.color = (0, 0, 0)
+
+    def render(self, surface, rng):
+        if rng.random() < 1 / 3:
+            self.color = tuple(int(c) for c in rng.integers(0, 256, 3))
+        surface.fill(self.color)
+
+
+class TestDamageHonesty:
+    """The compositor skips composites it proves identical, and the
+    proof trusts ``Surface.is_damaged``: every render either marks the
+    surface damaged or leaves its pixels byte-identical."""
+
+    @pytest.mark.parametrize("size", [(90, 160), (720, 1280)],
+                             ids=["90x160", "720x1280"])
+    @pytest.mark.parametrize("make", _renderer_family() + [_Fill],
+                             ids=lambda cls: cls.__name__)
+    def test_render_damages_or_changes_nothing(self, make, size):
+        width, height = size
+        surface = Surface(width, height, name="honesty")
+        renderer = make()
+        rng = np.random.default_rng(7)
+        damaged = 0
+        for _ in range(12):
+            surface.acknowledge_post()
+            before = surface.pixels.copy()
+            renderer.render(surface, rng)
+            if surface.is_damaged:
+                damaged += 1
+            else:
+                assert np.array_equal(surface.pixels, before)
+        # StaticRenderer is the no-damage case; every other renderer
+        # draws something.
+        assert (damaged == 0) == (make is StaticRenderer)
+
+    def test_family_covers_every_builtin_renderer(self):
+        names = {cls.__name__ for cls in _renderer_family()}
+        assert {"StaticRenderer", "ScrollRenderer",
+                "SceneChangeRenderer", "FullScreenVideoRenderer",
+                "SmallRegionRenderer",
+                "MovingSpritesRenderer"} <= names

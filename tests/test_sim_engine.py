@@ -283,3 +283,36 @@ class TestDeterminism:
             return seen
 
         assert build_and_run() == build_and_run()
+
+
+class TestPause:
+    def test_pause_returns_before_the_next_event(self):
+        sim = Simulator()
+        seen = []
+        sim.call_at(1.0, lambda s: (seen.append(s.now), s.request_pause()))
+        sim.call_at(1.0, lambda s: seen.append(s.now))
+        sim.call_at(2.0, lambda s: seen.append(s.now))
+        assert sim.run_until(5.0) == 1
+        assert sim.paused
+        assert sim.now == 1.0
+        assert seen == [1.0]
+        assert sim.run_until(5.0) == 2
+        assert not sim.paused
+        assert sim.now == 5.0
+        assert seen == [1.0, 1.0, 2.0]
+
+    def test_pause_after_the_last_event_is_cleared(self):
+        sim = Simulator()
+        sim.call_at(1.0, lambda s: s.request_pause())
+        assert sim.run_until(5.0) == 1
+        assert not sim.paused
+        assert sim.now == 5.0
+
+    def test_exhausted_budget_takes_precedence(self):
+        sim = Simulator()
+        sim.call_at(1.0, lambda s: s.request_pause())
+        sim.call_at(2.0, lambda s: None)
+        assert sim.run_until(5.0, max_events=1) == 1
+        assert sim.now == 1.0
+        assert sim.run_until(5.0) == 1
+        assert not sim.paused

@@ -1,10 +1,10 @@
-"""The governor tournament: determinism, caching, engines, probe.
+"""The governor tournament: determinism, caching, fast-forward, probe.
 
 The tournament's contract is the sweep's, generalized: the
 ``repro-tournament/1`` document is a pure function of the config —
-byte-identical across runs, worker counts, engines, cache state, and
-trace-file locations — while everything nondeterministic lives in the
-separate stats document.
+byte-identical across runs, worker counts, skipped ticks, cache state,
+and trace-file locations — while everything nondeterministic lives in
+the separate stats document.
 """
 
 import json
@@ -50,12 +50,14 @@ class TestDeterminism:
         assert canonical(small_document) == canonical(pooled)
 
     def test_engines_byte_identical(self, small_document):
-        # `auto` (the default above) routes eligible catalog cells
-        # through the vector fast path; `scalar` never does.  Same
-        # bytes either way.
-        scalar = run_tournament(TournamentConfig(**SMALL), workers=1,
-                                engine="scalar")
-        assert canonical(small_document) == canonical(scalar)
+        # Catalog cells skip the ticks the fast-forward proves inert;
+        # firing every tick gives the same bytes.
+        from .reference import reference_path
+
+        with reference_path():
+            reference = run_tournament(TournamentConfig(**SMALL),
+                                       workers=1)
+        assert canonical(small_document) == canonical(reference)
 
     def test_workdir_never_leaks_into_document(self, tmp_path,
                                                small_document):

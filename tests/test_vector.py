@@ -1,99 +1,104 @@
-"""Tests for the lockstep vector engine (`repro.sim.vector`).
+"""Equivalence of the V-Sync fast-forward (`repro.sim.fastforward`).
 
-The contract under test is the acceptance bar of the vector engine:
-every eligible spec produces a summary **byte-identical** to the
-scalar reference path — across the whole 30-app catalog, every
-builtin governor, every meter configuration, and any slicing of the
-advance loop — while ineligible specs (faults, trace replay,
-stateful governors) transparently fall back to the scalar path.
+:class:`SessionRunner` skips the V-Sync and decision ticks the
+fast-forward proves inert, in every session its gate admits.  The
+contract under test: every such session is **byte-identical** to the
+reference path that fires every tick — across the catalog, every
+builtin governor, every meter configuration and any slicing of the
+advance loop — while sessions the gate refuses (faults, trace replay,
+stateful governors) fire every tick themselves.
+
+The reference path is a test-side patch (:mod:`tests.reference`):
+the controller declines every region and the compositor's coherence
+check never absorbs a post, so every tick fires and every composite
+blits and compares.  The module keeps its historical name so its test
+ids stay stable.
 """
 
-import json
+import contextlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.profile import AppCategory, AppProfile, RenderStyle
 from repro.core.double_buffer import DoubleBuffer, SampledDoubleBuffer
 from repro.core.grid import GridComparator, GridSpec
-from repro.errors import ConfigurationError, MeteringError, SimulationError
+from repro.errors import MeteringError, SimulationError
 from repro.faults.plan import FaultPlan
+from repro.graphics.compositor import SurfaceManager
 from repro.pipeline.apps import APPS
-from repro.pipeline.eligibility import (
-    VECTOR_GOVERNORS,
-    probe_vector_eligibility,
-    vector_eligible,
-)
-from repro.sim.batch import run_batch
+from repro.sim.batch import run_batch, summarize_result
+from repro.sim.fastforward import REPLICABLE_GOVERNORS, _gate
 from repro.sim.runner import SessionRunner, resume_runner
 from repro.sim.session import MeterConfig, SessionConfig
 from repro.sim.tracing import EventLog, TimeSeries
-from repro.sim.vector import (
-    VectorEngine,
-    VectorRunner,
-    run_vector_batch,
-    run_vector_session,
-)
 from repro.analysis.export import session_summary_dict
+
+from .reference import reference_path
 
 GOLDEN_TRACE = "trace:tests/data/golden.rptrace"
 
-#: Every builtin governor, vectorizable or not.
+#: Every builtin governor, replicable or not.
 ALL_GOVERNORS = ("fixed", "section", "section+boost",
                  "section+hysteresis", "naive", "oracle", "e3")
 
 FALLBACK_GOVERNORS = tuple(g for g in ALL_GOVERNORS
-                           if g not in VECTOR_GOVERNORS)
+                           if g not in REPLICABLE_GOVERNORS)
 
 
 def _summary(result):
     return session_summary_dict(result)
 
 
-def _scalar(config):
+def _reference(config):
+    with reference_path():
+        return _summary(SessionRunner(config).run())
+
+
+def _path(reference):
+    """The context that selects the reference or the skipping path."""
+    return reference_path if reference else contextlib.nullcontext
+
+
+def _fast(config):
     return _summary(SessionRunner(config).run())
 
 
-def _vector(config):
-    return _summary(run_vector_session(config))
-
-
 # ----------------------------------------------------------------------
-# Eligibility probe
+# The gate
 # ----------------------------------------------------------------------
 class TestEligibility:
     def test_plain_catalog_spec_is_eligible(self):
         cfg = SessionConfig(app="Facebook", governor="section",
                             duration_s=5.0, seed=1)
-        verdict = probe_vector_eligibility(cfg)
-        assert verdict.eligible
-        assert verdict.reasons == ()
-        assert bool(verdict)
+        assert _gate(cfg) == ()
+        assert SessionRunner(cfg)._fast_forward is not None
 
     def test_each_disqualifier_is_reported(self):
         cfg = SessionConfig(app=GOLDEN_TRACE, governor="oracle",
                             duration_s=5.0, seed=1,
                             faults=FaultPlan(meter_fail=0.5, seed=1))
-        verdict = probe_vector_eligibility(cfg)
-        assert not verdict.eligible
-        text = " ".join(verdict.reasons)
-        assert "fault" in text
-        assert "governor" in text
-        assert len(verdict.reasons) >= 3
+        assert _gate(cfg) == ("faults", "workload", "governor")
+        assert SessionRunner(cfg)._fast_forward is None
 
     @pytest.mark.parametrize("governor", FALLBACK_GOVERNORS)
     def test_stateful_governors_are_ineligible(self, governor):
         cfg = SessionConfig(app="Facebook", governor=governor,
                             duration_s=5.0, seed=1)
-        assert not vector_eligible(cfg)
+        assert _gate(cfg) == ("governor",)
 
-    def test_vector_runner_requires_eligibility(self):
-        cfg = SessionConfig(app="Facebook",
-                            governor="section+hysteresis",
-                            duration_s=5.0, seed=1)
-        with pytest.raises(ConfigurationError, match="not vector-eligible"):
-            VectorRunner(cfg)
+    def test_unknown_vsync_listener_keeps_every_tick(self):
+        from repro.pipeline.builder import SessionBuilder
+
+        cfg = SessionConfig(app="Tiny Flashlight", governor="fixed",
+                            duration_s=4.0, seed=2)
+        builder = SessionBuilder(cfg).assemble()
+        seen = []
+        builder.panel.add_vsync_listener(seen.append)
+        runner = SessionRunner(builder)
+        assert runner._fast_forward is None
+        result = runner.run()
+        assert len(seen) == result.panel.vsync_count
 
 
 # ----------------------------------------------------------------------
@@ -102,21 +107,16 @@ class TestEligibility:
 class TestCatalogEquivalence:
     @pytest.mark.parametrize("app", sorted(APPS.names()))
     def test_every_catalog_app_is_byte_identical(self, app):
-        # Rotate the vectorizable governors across the catalog so the
-        # matrix covers every (well-known app) x (governor) pairing
-        # over the suite without running 30 x 4 sessions.
-        governor = VECTOR_GOVERNORS[hash(app) % len(VECTOR_GOVERNORS)]
-        cfg = SessionConfig(app=app, governor=governor,
-                            duration_s=4.0, seed=11)
-        assert _scalar(cfg) == _vector(cfg)
+        for governor in REPLICABLE_GOVERNORS:
+            cfg = SessionConfig(app=app, governor=governor,
+                                duration_s=4.0, seed=11)
+            assert _reference(cfg) == _fast(cfg), governor
 
     @pytest.mark.parametrize("governor", ALL_GOVERNORS)
     def test_every_builtin_governor_is_byte_identical(self, governor):
-        # Fallback governors go through the scalar path inside
-        # run_vector_session; the summary must be identical either way.
         cfg = SessionConfig(app="Tiny Flashlight", governor=governor,
                             duration_s=6.0, seed=3)
-        assert _scalar(cfg) == _vector(cfg)
+        assert _reference(cfg) == _fast(cfg)
 
     @pytest.mark.parametrize("kwargs", [
         {"status_bar": True},
@@ -135,79 +135,98 @@ class TestCatalogEquivalence:
         cfg = SessionConfig(app="Tiny Flashlight",
                             governor="section+boost",
                             duration_s=8.0, seed=5, **kwargs)
-        assert _scalar(cfg) == _vector(cfg)
+        assert _reference(cfg) == _fast(cfg)
 
     def test_oled_tracker_disables_bulk_idle_replay(self):
         quiet = SessionConfig(app="Tiny Flashlight", governor="fixed",
                               duration_s=8.0, seed=5)
         watched = SessionConfig(app="Tiny Flashlight", governor="fixed",
                                 duration_s=8.0, seed=5, track_oled=True)
-        assert VectorRunner(quiet)._idle_skip_ok
-        assert not VectorRunner(watched)._idle_skip_ok
+        assert SessionRunner(quiet)._fast_forward._idle_skip_ok
+        assert not SessionRunner(watched)._fast_forward._idle_skip_ok
 
     def test_faulted_spec_falls_back_and_matches(self):
         cfg = SessionConfig(app="Facebook", governor="section",
                             duration_s=5.0, seed=2,
                             faults=FaultPlan(meter_fail=0.3, seed=2))
-        assert not vector_eligible(cfg)
-        assert _scalar(cfg) == _vector(cfg)
+        assert _gate(cfg) == ("faults",)
+        assert _reference(cfg) == _fast(cfg)
 
     def test_trace_replay_falls_back_and_matches(self):
         cfg = SessionConfig(app=GOLDEN_TRACE, governor="section",
                             duration_s=4.0, seed=1)
-        assert not vector_eligible(cfg)
-        assert _scalar(cfg) == _vector(cfg)
+        assert _gate(cfg) == ("workload",)
+        assert _reference(cfg) == _fast(cfg)
 
     def test_ltpo_panel_is_byte_identical(self):
         from repro.pipeline import PANELS
         panel = PANELS.get("ltpo-120")()
         cfg = SessionConfig(app="Tiny Flashlight", governor="fixed",
                             duration_s=6.0, seed=4, panel=panel)
-        assert _scalar(cfg) == _vector(cfg)
+        assert _reference(cfg) == _fast(cfg)
 
 
 # ----------------------------------------------------------------------
 # The checkpoint/digest contract
 # ----------------------------------------------------------------------
+def _states(config, boundaries):
+    """``(now, events_processed, state_digest)`` at each boundary."""
+    runner = SessionRunner(config)
+    states = []
+    for until in boundaries:
+        runner.advance(until)
+        states.append((runner.now, runner.sim.events_processed,
+                       runner.state_digest()))
+    return runner, states
+
+
 class TestDigestContract:
     def test_digests_match_at_every_advance_boundary(self):
         cfg = SessionConfig(app="Tiny Flashlight", governor="section",
                             duration_s=6.0, seed=9)
-        scalar = SessionRunner(cfg)
-        vector = VectorRunner(cfg)
-        for until in (0.5, 1.7, 3.0, 4.25, 6.0):
-            scalar.advance(until)
-            vector.advance(until)
-            assert scalar.now == vector.now
-            assert (scalar.sim.events_processed
-                    == vector.sim.events_processed), until
-            assert scalar.state_digest() == vector.state_digest(), until
-        assert vector.skipped_ticks > 0
-        assert _summary(scalar.finish()) == _summary(vector.finish())
+        boundaries = (0.5, 1.7, 3.0, 4.25, 6.0)
+        with reference_path():
+            reference, expected = _states(cfg, boundaries)
+            reference_summary = _summary(reference.finish())
+        fast, states = _states(cfg, boundaries)
+        assert states == expected
+        assert fast._fast_forward.skipped_ticks > 0
+        assert _summary(fast.finish()) == reference_summary
 
     def test_checkpoint_documents_are_engine_agnostic(self):
         cfg = SessionConfig(app="Weather", governor="section+boost",
                             duration_s=6.0, seed=6)
-        scalar = SessionRunner(cfg)
-        vector = VectorRunner(cfg)
-        scalar.advance(3.0)
-        vector.advance(3.0)
-        assert (scalar.checkpoint_document()
-                == vector.checkpoint_document())
+        with reference_path():
+            reference = SessionRunner(cfg)
+            reference.advance(3.0)
+            expected = reference.checkpoint_document()
+        fast = SessionRunner(cfg)
+        fast.advance(3.0)
+        assert fast.checkpoint_document() == expected
 
-    @pytest.mark.parametrize("engine", ["scalar", "auto", "vector"])
+    # The ids keep the old engine names: "scalar" records and resumes
+    # on the reference path, "vector" records and resumes skipping
+    # ticks, "auto" records on the reference path and resumes skipping.
+    @pytest.mark.parametrize("engine", ["auto", "scalar", "vector"])
     def test_resume_verifies_across_engines(self, engine):
         cfg = SessionConfig(app="Tiny Flashlight", governor="section",
                             duration_s=6.0, seed=9)
-        source = SessionRunner(cfg)
-        source.advance(2.5)
-        doc = source.checkpoint_document()
-        resumed = resume_runner(doc, engine=engine)
+        expected = _reference(cfg)
+        record = _path(engine != "vector")
+        with record():
+            source = SessionRunner(cfg)
+            source.advance(2.5)
+            doc = source.checkpoint_document()
+        with _path(engine == "scalar")():
+            resumed = resume_runner(doc)
+            summary = _summary(resumed.run())
         if engine == "scalar":
-            assert not isinstance(resumed, VectorRunner)
+            assert resumed._fast_forward.skipped_ticks == 0
         else:
-            assert isinstance(resumed, VectorRunner)
-        assert _summary(resumed.run()) == _summary(source.run())
+            assert resumed._fast_forward.skipped_ticks > 0
+        assert summary == expected
+        with record():
+            assert _summary(source.run()) == expected
 
     def test_auto_resume_falls_back_for_ineligible_spec(self):
         cfg = SessionConfig(app="Facebook",
@@ -215,9 +234,8 @@ class TestDigestContract:
                             duration_s=4.0, seed=1)
         source = SessionRunner(cfg)
         source.advance(1.5)
-        resumed = resume_runner(source.checkpoint_document(),
-                                engine="auto")
-        assert not isinstance(resumed, VectorRunner)
+        resumed = resume_runner(source.checkpoint_document())
+        assert resumed._fast_forward is None
         assert _summary(resumed.run()) == _summary(source.run())
 
 
@@ -236,25 +254,30 @@ class TestSliceInvariance:
         cfg = SessionConfig(app="Tiny Flashlight",
                             governor="section+boost",
                             duration_s=6.0, seed=seed)
-        reference = _scalar(cfg)
-        vector = VectorRunner(cfg)
+        reference = _reference(cfg)
+        runner = SessionRunner(cfg)
         for until in sorted(boundaries):
-            vector.advance(until)
-        assert _summary(vector.run()) == reference
+            runner.advance(until)
+        assert _summary(runner.run()) == reference
 
     @pytest.mark.parametrize("slice_s", [0.25, 1.0, 3.0, 10.0])
     def test_engine_slice_is_invisible(self, slice_s):
+        # Several runners advanced together, one slice at a time.
         cfgs = [SessionConfig(app="Tiny Flashlight", governor="fixed",
                               duration_s=5.0, seed=s)
                 for s in range(3)]
-        reference = [
-            {"entry": json.loads(json.dumps(e)), "events": []}
-            for e in run_batch(cfgs, workers=1)]
-        assert run_vector_batch(cfgs, slice_s=slice_s) == reference
+        runners = [SessionRunner(cfg) for cfg in cfgs]
+        t = 0.0
+        while t < 5.0:
+            t = min(t + slice_s, 5.0)
+            for runner in runners:
+                runner.advance(t)
+        assert ([_summary(runner.finish()) for runner in runners]
+                == [_reference(cfg) for cfg in cfgs])
 
 
 # ----------------------------------------------------------------------
-# Batch routing and cache composition
+# Batches and cache composition
 # ----------------------------------------------------------------------
 class TestBatchRouting:
     def _mixed_configs(self):
@@ -262,46 +285,54 @@ class TestBatchRouting:
             SessionConfig(app="Tiny Flashlight", governor="fixed",
                           duration_s=3.0, seed=0),
             SessionConfig(app="Facebook", governor="section+hysteresis",
-                          duration_s=3.0, seed=1),       # fallback
+                          duration_s=3.0, seed=1),       # gated out
             SessionConfig(app="Weather", governor="naive",
                           duration_s=3.0, seed=2),
             SessionConfig(app=GOLDEN_TRACE, governor="section",
-                          duration_s=3.0, seed=3),       # fallback
+                          duration_s=3.0, seed=3),       # gated out
         ]
 
+    # "auto" compares with the same batch run on the reference path,
+    # "vector" with each session run alone on the reference path.
     @pytest.mark.parametrize("engine", ["auto", "vector"])
     def test_mixed_batch_matches_scalar_in_order(self, engine):
         cfgs = self._mixed_configs()
-        assert (run_batch(cfgs, workers=1, engine=engine)
-                == run_batch(cfgs, workers=1))
+        if engine == "auto":
+            with reference_path():
+                expected = run_batch(cfgs, workers=1)
+        else:
+            with reference_path():
+                expected = [summarize_result(SessionRunner(cfg).run())
+                            for cfg in cfgs]
+        assert run_batch(cfgs, workers=1) == expected
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError, match="engine"):
-            run_batch(self._mixed_configs()[:1], engine="warp")
+        # There is one runner; the old engine option is gone.
+        with pytest.raises(TypeError, match="engine"):
+            run_batch(self._mixed_configs()[:1], engine="vector")
 
     def test_cache_entries_are_engine_agnostic(self, tmp_path):
+        # Entries computed firing every tick serve skipping runs.
         from repro.cache import ResultCache
         cfgs = self._mixed_configs()[:3]
-        cold = run_batch(cfgs, workers=1, engine="vector",
-                         cache=ResultCache(tmp_path / "c"))
+        with reference_path():
+            cold = run_batch(cfgs, workers=1,
+                             cache=ResultCache(tmp_path / "c"))
         warm_cache = ResultCache(tmp_path / "c")
         warm = run_batch(cfgs, workers=1, cache=warm_cache)
-        assert warm == cold
+        assert warm == cold == run_batch(cfgs, workers=1)
         stats = warm_cache.stats_dict()
         assert stats["hits"] == len(cfgs)
         assert stats["misses"] == 0
 
-    def test_vector_batch_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_vector_batch([])
-
     def test_engine_reports_skip_diagnostics(self):
-        cfgs = [SessionConfig(app="Tiny Flashlight", governor="fixed",
-                              duration_s=4.0, seed=s)
-                for s in range(2)]
-        engine = VectorEngine(cfgs)
-        engine.run()
-        assert all(r.skipped_ticks > 0 for r in engine.runners)
+        runners = [SessionRunner(SessionConfig(
+            app="Tiny Flashlight", governor="fixed", duration_s=4.0,
+            seed=s)) for s in range(2)]
+        for runner in runners:
+            runner.run()
+            assert runner._fast_forward.skipped_ticks > 0
+            assert runner._fast_forward.skip_regions > 0
 
 
 # ----------------------------------------------------------------------
@@ -364,19 +395,27 @@ class TestBulkAccounting:
         assert buf.bytes_copied == copied + 5 * (copied // captures)
 
 
-# ----------------------------------------------------------------------
-# The bench workload stays vector-eligible
-# ----------------------------------------------------------------------
-class TestBenchWorkload:
-    def test_bench_vector_batch_is_eligible(self):
-        from repro.bench import _vector_batch_configs
-        for cfg in _vector_batch_configs(2, 5.0):
-            assert vector_eligible(cfg)
+def test_reference_path_fires_every_tick(monkeypatch):
+    # The equivalence above is not vacuous: the reference path skips
+    # no tick and compares every composite in full, while the default
+    # path skips ticks and absorbs idle re-posts.
+    compares = []
+    frames_equal = SurfaceManager._frames_equal
 
-    def test_bench_profile_is_idle_heavy(self):
-        from repro.bench import VECTOR_BATCH_PROFILE
-        assert VECTOR_BATCH_PROFILE.idle_content_fps <= 0.1
-        assert VECTOR_BATCH_PROFILE.idle_submit_fps > 0
-        assert VECTOR_BATCH_PROFILE.render_style is RenderStyle.SMALL_REGION
-        assert VECTOR_BATCH_PROFILE.category is AppCategory.GENERAL
-        assert isinstance(VECTOR_BATCH_PROFILE, AppProfile)
+    def counting(self, a, b):
+        compares.append(1)
+        return frames_equal(self, a, b)
+
+    monkeypatch.setattr(SurfaceManager, "_frames_equal", counting)
+    cfg = SessionConfig(app="Tiny Flashlight", governor="fixed",
+                        duration_s=4.0, seed=2)
+    with reference_path():
+        reference = SessionRunner(cfg)
+        result = reference.run()
+    assert reference._fast_forward.skipped_ticks == 0
+    assert len(compares) == len(result.compositions) > 0
+    compares.clear()
+    fast = SessionRunner(cfg)
+    fast.run()
+    assert fast._fast_forward.skipped_ticks > 0
+    assert len(compares) < len(result.compositions)
