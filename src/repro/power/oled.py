@@ -28,9 +28,10 @@ properties of the model.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -50,6 +51,24 @@ def decode_table(gamma: float) -> np.ndarray:
     table = (np.arange(256, dtype=np.float64) / 255.0) ** gamma
     table.flags.writeable = False
     return table
+
+
+#: Most entries the price memo holds; the oldest is evicted first.
+#: An entry is about 120 bytes whatever the frame's resolution.
+PRICE_MEMO_MAX_ENTRIES = 4096
+
+#: Frame prices keyed by the sha256 of the model's repr, the frame's
+#: shape and its bytes.  A hit returns the very float the miss
+#: computed, so no output shows whether the memo was used.
+#: :func:`repro.sim.batch.run_batch` empties it when it returns, so no
+#: price outlives its batch.  The keys are plain bytes: tuple keys
+#: holding the model raised a tournament's peak RSS.
+_PRICE_MEMO: Dict[bytes, float] = {}
+
+
+def clear_price_memo() -> None:
+    """Forget every memoised frame price."""
+    _PRICE_MEMO.clear()
 
 
 @dataclass(frozen=True)
@@ -75,8 +94,12 @@ class OledModel:
         if len(self.full_channel_mw) != 3:
             raise ConfigurationError(
                 "full_channel_mw needs (red, green, blue)")
-        for value in self.full_channel_mw:
+        # A tuple of floats keeps the frozen model hashable and its
+        # repr (part of the price memo's key) canonical; a list would
+        # pass validation but not hash.
+        object.__setattr__(self, "full_channel_mw", tuple(
             ensure_non_negative(value, "full_channel_mw entry")
+            for value in self.full_channel_mw))
         ensure_positive(self.gamma, "gamma")
         ensure_non_negative(self.base_mw, "base_mw")
 
@@ -90,6 +113,8 @@ class OledModel:
         not matter because the model works in mean per-pixel luminance
         (the panel's area is folded into the channel coefficients).
         Each sub-pixel is decoded by a lookup in :func:`decode_table`.
+        Repeats of a C-contiguous frame are served from a memo keyed
+        by the frame's digest (see ``_PRICE_MEMO``).
         """
         if pixels.ndim != 3 or pixels.shape[-1] != 3:
             raise ConfigurationError(
@@ -97,6 +122,22 @@ class OledModel:
         if pixels.dtype != np.uint8:
             raise ConfigurationError(
                 f"expected a uint8 frame, got {pixels.dtype}")
+        if not pixels.flags.c_contiguous:
+            # The mean sums in stride order, so another layout can
+            # price one ulp off its contiguous copy: price it directly.
+            return self._price(pixels)
+        hasher = hashlib.sha256(f"{self!r} {pixels.shape}".encode())
+        hasher.update(pixels)
+        key = hasher.digest()
+        price = _PRICE_MEMO.get(key)
+        if price is None:
+            price = self._price(pixels)
+            if len(_PRICE_MEMO) >= PRICE_MEMO_MAX_ENTRIES:
+                del _PRICE_MEMO[next(iter(_PRICE_MEMO))]
+            _PRICE_MEMO[key] = price
+        return price
+
+    def _price(self, pixels: np.ndarray) -> float:
         luminance = decode_table(self.gamma)[pixels]
         # The sequential per-channel sum keeps the price bit-identical
         # to pricing the decoded frame; do not swap in another sum.

@@ -71,6 +71,7 @@ from ..pipeline.apps import APPS
 from ..pipeline.governors import GOVERNORS
 from ..pipeline.panels import PANELS
 from ..pipeline.spec import SessionSpec
+from ..power.oled import clear_price_memo
 from ..telemetry.events import interleave_streams
 from ..telemetry.metrics import MetricsRegistry
 from .session import SessionConfig, run_session
@@ -579,14 +580,19 @@ def run_batch(configs: Sequence[SessionConfig],
         _note(done + resolved, entry)
 
     if to_run:
-        if count == 1 or len(to_run) == 1:
-            run_payloads = _run_serial(to_run, retries, strict,
-                                       capture, _note_run)
-        else:
-            run_payloads = _run_pooled(to_run, count, retries,
-                                       timeout_s, strict, capture,
-                                       mp_context, chunksize,
-                                       _note_run)
+        try:
+            if count == 1 or len(to_run) == 1:
+                run_payloads = _run_serial(to_run, retries, strict,
+                                           capture, _note_run)
+            else:
+                run_payloads = _run_pooled(to_run, count, retries,
+                                           timeout_s, strict, capture,
+                                           mp_context, chunksize,
+                                           _note_run)
+        finally:
+            # No memoised frame price outlives the batch that computed
+            # it; a pool's workers exit with theirs.
+            clear_price_memo()
         for (index, _), payload in zip(to_run, run_payloads):
             slots[index] = payload
             key = miss_keys.get(index)

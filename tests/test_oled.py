@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkloadError
 from repro.graphics.framebuffer import Framebuffer
-from repro.power.oled import OledEmissionTracker, OledModel, decode_table
+from repro.power import oled
+from repro.power.oled import (OledEmissionTracker, OledModel,
+                              clear_price_memo, decode_table)
+from repro.sim.batch import run_batch
+from repro.sim.session import SessionConfig
 
 
 def frame(value, shape=(12, 10, 3)):
@@ -74,6 +78,16 @@ class TestOledModel:
             OledModel(full_channel_mw=(1.0, 2.0))
         with pytest.raises(ConfigurationError):
             OledModel(gamma=0.0)
+
+    def test_list_coefficients_hash_and_price_like_a_tuple(self):
+        listed = OledModel(full_channel_mw=[280.0, 350.0, 550.0])
+        tupled = OledModel(full_channel_mw=(280.0, 350.0, 550.0))
+        assert listed.full_channel_mw == (280.0, 350.0, 550.0)
+        assert hash(listed) == hash(tupled)
+        pixels = np.random.default_rng(3).integers(
+            0, 256, size=(16, 9, 3), dtype=np.uint8)
+        assert listed.frame_power_mw(pixels) == \
+            _direct_price(tupled, pixels)
 
 
 class TestOledEmissionTracker:
@@ -171,6 +185,7 @@ class TestDecodeTable:
         model = OledModel(gamma=gamma)
         rng = np.random.default_rng(sum(shape))
         for _ in range(4):
+            clear_price_memo()
             frame_ = rng.integers(0, 256, size=shape, dtype=np.uint8)
             views = [frame_, frame_[::2, 1::3], frame_[::-1],
                      frame_.transpose(1, 0, 2), np.asfortranarray(frame_)]
@@ -179,3 +194,87 @@ class TestDecodeTable:
                     continue
                 assert model.frame_power_mw(view) == \
                     _direct_price(model, view)
+            # Only the C-contiguous frame was memoised; the other
+            # layouts (contiguous only when 1x1) were priced directly.
+            assert len(oled._PRICE_MEMO) == 1
+        clear_price_memo()
+
+
+def _random_frame(seed, shape):
+    return np.random.default_rng(seed).integers(
+        0, 256, size=shape, dtype=np.uint8)
+
+
+class TestPriceMemo:
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        clear_price_memo()
+        yield
+        clear_price_memo()
+
+    @pytest.mark.parametrize("shape", [(160, 90, 3), (720, 1280, 3)])
+    def test_hit_bit_equal_to_fresh_price(self, shape):
+        model = OledModel()
+        pixels = _random_frame(sum(shape), shape)
+        miss = model.frame_power_mw(pixels)
+        hit = model.frame_power_mw(pixels.copy())
+        assert len(oled._PRICE_MEMO) == 1
+        clear_price_memo()
+        fresh = model.frame_power_mw(pixels)
+        assert hit == miss == fresh == _direct_price(model, pixels)
+
+    def test_models_differing_in_one_field_never_share(self):
+        models = [OledModel(), OledModel(gamma=2.4),
+                  OledModel(full_channel_mw=(280.0, 350.0, 551.0)),
+                  OledModel(base_mw=16.0)]
+        pixels = _random_frame(5, (160, 90, 3))
+        prices = [model.frame_power_mw(pixels) for model in models]
+        assert len(oled._PRICE_MEMO) == len(models)
+        assert len(set(prices)) == len(models)
+        for model, price in zip(models, prices):
+            assert model.frame_power_mw(pixels) == price == \
+                _direct_price(model, pixels)
+
+    def test_memo_never_exceeds_its_bound(self, monkeypatch):
+        model = OledModel()
+        bound = oled.PRICE_MEMO_MAX_ENTRIES
+        frames = [np.frombuffer(i.to_bytes(6, "little"),
+                                dtype=np.uint8).reshape(1, 2, 3)
+                  for i in range(bound + 10)]
+        for pixels in frames:
+            model.frame_power_mw(pixels)
+            assert len(oled._PRICE_MEMO) <= bound
+        assert len(oled._PRICE_MEMO) == bound
+        # The oldest entries went first: frame 10 is still a hit,
+        # frame 9 is priced again.
+        priced = []
+
+        def price(self, pixels):
+            priced.append(pixels)
+            return 0.0
+        monkeypatch.setattr(OledModel, "_price", price)
+        model.frame_power_mw(frames[10])
+        assert priced == []
+        model.frame_power_mw(frames[9])
+        assert len(priced) == 1 and priced[0] is frames[9]
+
+    def test_run_batch_leaves_memo_empty(self):
+        sizes = []
+        run_batch([SessionConfig(app="Facebook", duration_s=2.0, seed=1,
+                                 track_oled=True)], workers=1,
+                  progress=lambda *_: sizes.append(len(oled._PRICE_MEMO)))
+        assert sizes[0] > 0
+        assert not oled._PRICE_MEMO
+
+    def test_run_batch_leaves_memo_empty_after_a_raise(self):
+        sizes = []
+        configs = [SessionConfig(app="Facebook", duration_s=2.0, seed=1,
+                                 track_oled=True),
+                   SessionConfig(app="NoSuchApp", duration_s=2.0,
+                                 track_oled=True)]
+        with pytest.raises(WorkloadError):
+            run_batch(configs, workers=1, on_error="raise",
+                      progress=lambda *_: sizes.append(
+                          len(oled._PRICE_MEMO)))
+        assert len(sizes) == 1 and sizes[0] > 0
+        assert not oled._PRICE_MEMO
