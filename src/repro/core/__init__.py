@@ -3,7 +3,9 @@
 Pipeline (Section 3 of the paper):
 
 1. :class:`~repro.core.double_buffer.DoubleBuffer` keeps the previous
-   framebuffer available for comparison without stalling updates.
+   framebuffer available for comparison without stalling updates (the
+   meter charges its traffic and keeps only the grid samples it
+   compares).
 2. :class:`~repro.core.grid.GridSpec` /
    :class:`~repro.core.grid.GridComparator` compare only one
    representative pixel per grid cell, making metering nearly free.

@@ -9,12 +9,18 @@ frame against the stored previous frame at the grid sample points; a
 mismatch means the frame carried new content.  Timestamps of meaningful
 frames feed a sliding-window rate estimate that the refresh-rate
 governor consumes.
+
+The comparison only ever reads grid samples, so the meter keeps just
+the samples of the last judged frame.  The paper's previous-frame store
+(:mod:`~repro.core.double_buffer`) is *charged*, not performed: every
+frame update counts one capture, and :attr:`ContentRateMeter
+.bytes_copied` prices each at the configured scheme's slot size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +32,6 @@ from ..sim.tracing import EventLog
 from ..telemetry.hub import TelemetryHub
 from ..telemetry.profiling import timed
 from ..units import ensure_positive
-from .double_buffer import DoubleBuffer, SampledDoubleBuffer
 from .grid import GridComparator, GridSpec
 
 #: Span names of the metering hot path (Figure 6's measured cost).
@@ -49,8 +54,11 @@ class MeterConfig:
     window_s:
         Length of the sliding window over which the rate is computed.
     store_full_frames:
-        True (paper's design) keeps full frames in the double buffer;
-        False stores only grid samples (the bandwidth ablation).
+        The previous-frame scheme :attr:`ContentRateMeter.bytes_copied`
+        charges for: True (paper's design) prices every capture as a
+        full-frame double-buffer copy; False as a copy of the grid
+        samples only (the bandwidth ablation).  Judgements are the same
+        either way, because the comparison reads only grid samples.
     min_changed_cells:
         Significance filter (extension): a frame counts as meaningful
         only if at least this many grid cells changed.  1 reproduces
@@ -118,21 +126,24 @@ class ContentRateMeter:
         self.grid = GridSpec.from_sample_count(shape,
                                                self.config.sample_count)
         self.comparator = GridComparator(self.grid)
-        self._store: Union[DoubleBuffer, SampledDoubleBuffer]
+        # Bytes one previous-frame capture moves under the configured
+        # scheme: a full frame, or the grid samples only.
         if self.config.store_full_frames:
-            self._store = DoubleBuffer(framebuffer.shape)
+            self._slot_bytes = framebuffer.pixels.nbytes
         else:
-            self._store = SampledDoubleBuffer(self.grid)
+            self._slot_bytes = (self.grid.sample_count
+                                * framebuffer.pixels.shape[-1]
+                                * framebuffer.pixels.itemsize)
         self._frames = EventLog("frame_updates")
         self._meaningful = EventLog("meaningful_frames")
         # Capture what the screen already shows: the first observed
         # update is compared against the existing framebuffer contents,
         # exactly like the compositor's own redundancy ground truth.
         # (On the device the extra buffer would likewise be primed from
-        # the live framebuffer when metering starts.)
-        self._store.capture(framebuffer.pixels)
-        # Grid samples of the last judged frame: the comparison
-        # reference, so each judged frame is gathered once, not twice.
+        # the live framebuffer when metering starts.)  The reference is
+        # the grid samples of the last judged frame, so each judged
+        # frame is gathered once, not twice.
+        self._captures = 1
         self._reference = self.grid.sample(framebuffer.pixels).reshape(
             self.grid.sample_count, -1)
         framebuffer.add_update_listener(self._on_frame_update)
@@ -148,7 +159,7 @@ class ContentRateMeter:
             # allocations beyond the comparison itself.
             if self._frame_meaningful(framebuffer):
                 self._meaningful.append(time)
-            self._capture(framebuffer)
+            self._captures += 1
             return
         with telemetry.span(SPAN_GRID_COMPARE, time):
             meaningful = self._frame_meaningful(framebuffer)
@@ -157,7 +168,7 @@ class ContentRateMeter:
             telemetry.metrics.counter("meter.meaningful_frames").inc()
         telemetry.metrics.counter("meter.frames").inc()
         with telemetry.span(SPAN_BUFFER_COPY, time):
-            self._capture(framebuffer)
+            self._captures += 1
 
     def _frame_meaningful(self, framebuffer: Framebuffer) -> bool:
         """The frame-diff judgement (the grid-comparison hot path).
@@ -186,19 +197,21 @@ class ContentRateMeter:
         self._reference = comparator.last_samples
         return meaningful
 
-    def _capture(self, framebuffer: Framebuffer) -> None:
-        """Store the judged frame for the next comparison.
+    def note_unchanged_updates(self, times: Sequence[float]) -> None:
+        """Account a run of proven-unchanged frame updates in bulk.
 
-        A proven-unchanged frame is charged without moving bytes (the
-        store already holds it).  The sampled store takes the samples
-        the judgement just gathered instead of gathering again.
+        Exactly what :meth:`_on_frame_update` does, without telemetry,
+        for one ``last_write_unchanged`` update at each of ``times``:
+        the frame is logged, judged not meaningful (an equal comparison
+        when the paper's any-change threshold is in force) and its
+        capture is charged.  The fast-forward lands a skipped run of
+        idle V-Syncs through this.
         """
-        if framebuffer.last_write_unchanged:
-            self._store.note_redundant_capture()
-        elif isinstance(self._store, SampledDoubleBuffer):
-            self._store.capture_samples(self._reference)
-        else:
-            self._store.capture(framebuffer.pixels)
+        count = len(times)
+        self._frames.extend(times)
+        if self.config.min_changed_cells == 1:
+            self.comparator.note_equal(count)
+        self._captures += count
 
     # ------------------------------------------------------------------
     # Rates
@@ -305,9 +318,16 @@ class ContentRateMeter:
         return self.total_frames - self.total_meaningful
 
     @property
+    def captures(self) -> int:
+        """Previous-frame captures charged: one for priming plus one per
+        observed frame update."""
+        return self._captures
+
+    @property
     def bytes_copied(self) -> int:
-        """Previous-frame storage traffic (double-buffer accounting)."""
-        return self._store.bytes_copied
+        """Previous-frame storage traffic the configured scheme would
+        move (see :attr:`MeterConfig.store_full_frames`)."""
+        return self._captures * self._slot_bytes
 
     @property
     def read_failures(self) -> int:

@@ -8,10 +8,17 @@ still holds the comparison reference, so metering never blocks the
 update path.
 
 In simulation there is no real asynchronous I/O to win back, but the
-structure is preserved faithfully because its *accounting* matters: the
-number of full-frame copies is the memory-bandwidth cost of the scheme,
-and one ablation (:class:`SampledDoubleBuffer`) shows that storing only
-the grid samples cuts that cost by the grid's coverage fraction.
+scheme's *accounting* matters: the number of full-frame copies is the
+memory-bandwidth cost of the scheme, and one ablation
+(:class:`SampledDoubleBuffer`) shows that storing only the grid samples
+cuts that cost by the grid's coverage fraction.
+
+The content-rate meter charges this traffic; it does not copy it.  Its
+comparison reads only grid samples, which it keeps itself, so
+:class:`~repro.core.content_rate.ContentRateMeter` counts captures and
+prices each at the slot size of the scheme its configuration names
+(``MeterConfig.store_full_frames``).  The classes here are the scheme
+itself, with the same captures and byte counts.
 """
 
 from __future__ import annotations
@@ -22,6 +29,14 @@ import numpy as np
 
 from ..errors import MeteringError
 from .grid import GridSpec
+
+
+def _check_dtype(pixels: np.ndarray, slot: np.ndarray) -> None:
+    """Reject a frame the slot would store only by casting it."""
+    if pixels.dtype != slot.dtype:
+        raise MeteringError(
+            f"capture dtype {pixels.dtype} does not match buffer dtype "
+            f"{slot.dtype}")
 
 
 class DoubleBuffer:
@@ -75,6 +90,7 @@ class DoubleBuffer:
             raise MeteringError(
                 f"capture shape {pixels.shape} does not match buffer "
                 f"shape {slot.shape}")
+        _check_dtype(pixels, slot)
         np.copyto(slot, pixels)
         self._front = back
         self._captures += 1
@@ -153,6 +169,7 @@ class SampledDoubleBuffer:
             raise MeteringError(
                 f"sampled shape {samples.shape} does not match slot "
                 f"shape {slot.shape}")
+        _check_dtype(samples, slot)
         np.copyto(slot, samples.reshape(slot.shape))
         self._front = back
         self._captures += 1

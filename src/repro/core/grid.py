@@ -252,8 +252,10 @@ class GridComparator:
         format of :attr:`last_samples`).
         """
         self.grid._check_shape(current)
-        self._comparisons += 1
         cur, prev = self._sample_pair(current, previous)
+        # Counted only once both sample sets exist: a rejected call is
+        # no comparison.
+        self._comparisons += 1
         equal = bool((cur == prev).all())
         if not equal:
             self._mismatches += 1

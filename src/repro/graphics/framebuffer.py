@@ -4,6 +4,13 @@ In Android, Surface Manager writes the composited image into the
 framebuffer and the display hardware refreshes the screen from it.  The
 content-rate meter of the paper hooks exactly here — it observes
 framebuffer *updates* (writes), not panel *refreshes*.
+
+A frame update arrives one of three ways: :meth:`Framebuffer.present`
+hands over a finished frame by reference (the compositor's path: the
+frame it produced becomes the scanned-out buffer, no byte moves),
+:meth:`Framebuffer.write` copies a foreign frame into a buffer the
+framebuffer owns, and :meth:`Framebuffer.write_unchanged` records an
+update proven identical to what is shown.
 """
 
 from __future__ import annotations
@@ -35,8 +42,11 @@ class Framebuffer:
     def __init__(self, width: int, height: int) -> None:
         self.width = ensure_positive_int(width, "width")
         self.height = ensure_positive_int(height, "height")
-        self._pixels = np.zeros((height, width, self.CHANNELS),
-                                dtype=np.uint8)
+        # The buffer :meth:`write` copies into; :attr:`pixels` is
+        # either it or the frame most recently presented.
+        self._own = np.zeros((height, width, self.CHANNELS),
+                             dtype=np.uint8)
+        self._pixels = self._own
         self._generation = 0
         self._last_update_time = 0.0
         self._last_write_unchanged = False
@@ -61,8 +71,12 @@ class Framebuffer:
 
         This is the real buffer, not a copy — mirroring the fact that on
         the device the meter reads the actual framebuffer memory.
-        Callers that need a snapshot must copy (that is precisely what
-        the double-buffering technique of Section 3.1 is for).
+        After a :meth:`present` it is the presenter's own frame, marked
+        read-only for as long as the framebuffer shows it; after a
+        :meth:`write` it is the framebuffer's own (writable) buffer.
+        The array object changes between updates, so hold the
+        framebuffer, not the array, and copy (:meth:`snapshot`) to keep
+        a frame.
         """
         return self._pixels
 
@@ -85,19 +99,30 @@ class Framebuffer:
         ``pixels`` must match the framebuffer geometry exactly; partial
         updates go through the compositor, not here.
         """
-        if pixels.shape != self._pixels.shape:
+        self._check_frame(pixels, "write")
+        np.copyto(self._own, pixels)
+        self._pixels = self._own
+        self._updated(time, unchanged=False)
+
+    def present(self, frame: np.ndarray, time: float) -> None:
+        """Show ``frame`` itself as the new contents (a frame update).
+
+        The producer hands its finished frame over by reference instead
+        of having it copied: ``frame`` becomes :attr:`pixels` and is
+        marked read-only while the framebuffer holds it, so nothing can
+        alter a frame on screen.  The producer must not make it
+        writable again until a later update has replaced it.  Apart
+        from the missing copy the update is exactly a :meth:`write` of
+        the same pixels.  ``frame`` must be a C-contiguous ``uint8``
+        array of the framebuffer's shape.
+        """
+        self._check_frame(frame, "present")
+        if not frame.flags.c_contiguous:
             raise GraphicsError(
-                f"framebuffer write shape {pixels.shape} does not match "
-                f"framebuffer shape {self._pixels.shape}")
-        if pixels.dtype != np.uint8:
-            raise GraphicsError(
-                f"framebuffer expects uint8 pixels, got {pixels.dtype}")
-        np.copyto(self._pixels, pixels)
-        self._generation += 1
-        self._last_update_time = time
-        self._last_write_unchanged = False
-        for listener in self._listeners:
-            listener(time, self)
+                "framebuffer present needs a C-contiguous frame")
+        frame.flags.writeable = False
+        self._pixels = frame
+        self._updated(time, unchanged=False)
 
     def write_unchanged(self, time: float) -> None:
         """Record a frame update whose pixels equal the current contents.
@@ -111,9 +136,21 @@ class Framebuffer:
         frames consult :attr:`last_write_unchanged` to reuse their last
         result instead of recomputing it.
         """
+        self._updated(time, unchanged=True)
+
+    def _check_frame(self, pixels: np.ndarray, verb: str) -> None:
+        if pixels.shape != self._own.shape:
+            raise GraphicsError(
+                f"framebuffer {verb} shape {pixels.shape} does not match "
+                f"framebuffer shape {self._own.shape}")
+        if pixels.dtype != np.uint8:
+            raise GraphicsError(
+                f"framebuffer expects uint8 pixels, got {pixels.dtype}")
+
+    def _updated(self, time: float, unchanged: bool) -> None:
         self._generation += 1
         self._last_update_time = time
-        self._last_write_unchanged = True
+        self._last_write_unchanged = unchanged
         for listener in self._listeners:
             listener(time, self)
 

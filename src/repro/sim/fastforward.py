@@ -522,8 +522,4 @@ class FastForward:
         comp._written_generation = framebuffer._generation
         framebuffer._last_update_time = tick_times[-1]
         framebuffer._last_write_unchanged = True
-        meter = self._meter
-        meter._frames.extend(tick_times)
-        if meter.config.min_changed_cells == 1:
-            meter.comparator.note_equal(n)
-        meter._store.note_redundant_capture(n)
+        self._meter.note_unchanged_updates(tick_times)

@@ -11,8 +11,11 @@ redundancy count must equal a brute-force ``np.array_equal`` count.
 The random walk over a full-screen surface and an overlay registers
 and unregisters both, moves the overlay by assigning
 ``surface.x``/``surface.y``, redraws and reposts surfaces (also as
-declared-idle reposts) and writes the framebuffer from outside, on
-frames whose byte counts are a multiple of 8, of 4 only, and odd.
+declared-idle reposts), flips only the first or only the last byte
+of the base surface and writes the framebuffer from outside, on frames
+whose byte counts are a multiple of 8, of 4 only, of 2 only and odd,
+including frames too small for the compare's leading slice to hold a
+single word.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graphics.compositor import SurfaceManager, _word_dtype
+from repro.graphics.compositor import (_HEAD_FRACTION, SurfaceManager,
+                                       _word_dtype)
 from repro.graphics.framebuffer import Framebuffer
 from repro.graphics.surface import Surface, fill_rect
 
@@ -53,7 +57,8 @@ def _walk(width: int, height: int, seed: int, steps: int = 300) -> None:
     fb = Framebuffer(width, height)
     comp = SurfaceManager(fb)
     base = Surface(width, height, name="base", z_order=0)
-    overlay = Surface(3, 2, name="overlay", z_order=1)
+    overlay = Surface(min(3, width), min(2, height), name="overlay",
+                      z_order=1)
     base.fill((40, 40, 40))
     overlay.fill((200, 10, 90))
     comp.register_surface(base)
@@ -65,7 +70,7 @@ def _walk(width: int, height: int, seed: int, steps: int = 300) -> None:
     redundant = 0
     for step in range(steps):
         for _ in range(int(rng.integers(1, 4))):
-            op = int(rng.integers(0, 9))
+            op = int(rng.integers(0, 10))
             # The surface an op acts on: base for even ops, else overlay.
             surface = base if op % 2 == 0 else overlay
             on_screen = surface.name in registered
@@ -99,6 +104,13 @@ def _walk(width: int, height: int, seed: int, steps: int = 300) -> None:
                 expected_fb = foreign
             elif op == 8 and "base" in registered:
                 comp.post(base)  # a redundant frame: nothing redrawn
+            elif op == 9 and "base" in registered:
+                # The frame's first or last word alone differs (unless
+                # the overlay hides that pixel).
+                flat = base.pixels.reshape(-1)
+                flat[0 if rng.random() < 0.5 else -1] ^= 1
+                base.mark_damaged()
+                comp.post(base)
         if comp.on_vsync(float(step)):
             frame = _brute_composite(fb.shape, registered.values())
             redundant += int(np.array_equal(frame, previous_composite))
@@ -112,8 +124,9 @@ def _walk(width: int, height: int, seed: int, steps: int = 300) -> None:
 
 @pytest.mark.parametrize("fast_path", [False, True],
                          ids=["full", "fast-path"])
-@pytest.mark.parametrize("width, height", [(8, 6), (10, 6), (7, 5)],
-                         ids=["144B", "180B", "105B"])
+@pytest.mark.parametrize("width, height", [
+    (8, 6), (10, 6), (7, 5), (1, 1), (2, 3), (40, 30)],
+    ids=["144B", "180B", "105B", "3B", "18B", "3600B"])
 @pytest.mark.parametrize("seed", range(4))
 def test_reuse_matches_brute_force(width, height, fast_path, seed,
                                    monkeypatch):
@@ -148,3 +161,24 @@ def test_moving_a_surface_defeats_the_fast_path():
     np.testing.assert_array_equal(
         fb.pixels, _brute_composite(fb.shape, [overlay]))
     assert comp.redundant_compositions == 0
+
+
+@pytest.mark.parametrize("width, height", [
+    (1, 1), (2, 3), (8, 6), (7, 5), (40, 30), (160, 90)])
+def test_early_exit_compare_equals_array_equal(width, height):
+    # One flipped byte at each edge of the leading slice, the middle
+    # and both ends of the frame, and no flip at all.
+    comp = SurfaceManager(Framebuffer(width, height))
+    rng = np.random.default_rng(width * height)
+    a = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+    nbytes = a.nbytes
+    word = _word_dtype(nbytes).itemsize
+    head_bytes = nbytes // word // _HEAD_FRACTION * word
+    positions = {0, nbytes // 2, nbytes - 1, max(head_bytes - 1, 0),
+                 min(head_bytes, nbytes - 1)}
+    assert comp._frames_equal(a, a.copy())
+    for position in sorted(positions):
+        b = a.copy()
+        b.reshape(-1)[position] ^= 0x80
+        assert not np.array_equal(a, b)
+        assert not comp._frames_equal(a, b), position

@@ -8,6 +8,7 @@ from repro.core.content_rate import (
     MeterConfig,
     measure_accuracy,
 )
+from repro.core.double_buffer import DoubleBuffer, SampledDoubleBuffer
 from repro.errors import ConfigurationError
 from repro.graphics.framebuffer import Framebuffer
 
@@ -179,6 +180,79 @@ class TestStorageVariants:
             fb_a.write(frame(i, fb_a), 0.1 * (i + 1))
             fb_b.write(frame(i, fb_b), 0.1 * (i + 1))
         assert sampled.bytes_copied < full.bytes_copied
+
+
+class TestCaptureAccounting:
+    """The meter charges the previous-frame scheme without running it:
+    its captures and bytes equal those of the double buffer the
+    configuration names, driven the way the paper's meter drives it."""
+
+    @staticmethod
+    def _scheme(fb, meter):
+        if meter.config.store_full_frames:
+            return DoubleBuffer(fb.shape)
+        return SampledDoubleBuffer(meter.grid)
+
+    @pytest.mark.parametrize("store_full", [True, False])
+    def test_matches_the_double_buffer_it_names(self, store_full):
+        fb = make_fb()
+        meter = ContentRateMeter(
+            fb, MeterConfig(sample_count=64, store_full_frames=store_full))
+        scheme = self._scheme(fb, meter)
+        scheme.capture(fb.pixels)  # primed from the live framebuffer
+        fb.add_update_listener(
+            lambda t, f: scheme.note_redundant_capture()
+            if f.last_write_unchanged else scheme.capture(f.pixels))
+        rng = np.random.default_rng(3)
+        for i in range(30):
+            kind = int(rng.integers(0, 3))
+            if kind == 0:
+                fb.write(frame(int(rng.integers(0, 4)), fb), 0.1 * i)
+            elif kind == 1:
+                fb.present(frame(int(rng.integers(0, 4)), fb), 0.1 * i)
+            else:
+                fb.write_unchanged(0.1 * i)
+        comparisons = meter.comparator.comparisons
+        times = [3.0 + 0.1 * i for i in range(7)]
+        meter.note_unchanged_updates(times)
+        scheme.note_redundant_capture(len(times))
+        assert meter.captures == scheme.captures == 38
+        assert meter.bytes_copied == scheme.bytes_copied
+        assert meter.comparator.comparisons == comparisons + 7
+        assert meter.total_frames == 37
+        assert list(meter.frame_updates.times)[-7:] == times
+
+    @pytest.mark.parametrize("store_full, min_changed, bytes_copied", [
+        (True, 1, 5227200), (True, 3, 5227200),
+        (False, 1, 3345408), (False, 3, 3345408)])
+    def test_session_with_bulk_idle_replay(self, store_full, min_changed,
+                                           bytes_copied):
+        # Pinned values of the previous double-buffer implementation;
+        # Cash Slide lands runs of idle reposts through the
+        # fast-forward's bulk credit.
+        from repro.sim.fastforward import FastForward
+        from repro.sim.runner import SessionRunner
+        from repro.sim.session import SessionConfig
+
+        config = SessionConfig(
+            app="Cash Slide", governor="section+boost", duration_s=6.0,
+            seed=5, meter=MeterConfig(store_full_frames=store_full,
+                                      min_changed_cells=min_changed))
+        credited = []
+        replay = FastForward._replay_idle_posts
+
+        def spy(self, tick_times, posts):
+            credited.append(len(tick_times))
+            replay(self, tick_times, posts)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FastForward, "_replay_idle_posts", spy)
+            meter = SessionRunner(config).run().meter
+        assert sum(credited) > 0
+        assert (meter.captures, meter.bytes_copied) == (121, bytes_copied)
+        assert meter.total_frames == 120
+        assert meter.comparator.comparisons == (120 if min_changed == 1
+                                                else 0)
 
 
 class TestDetach:

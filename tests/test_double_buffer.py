@@ -52,6 +52,22 @@ class TestDoubleBuffer:
         with pytest.raises(MeteringError):
             buf.capture(frame(1, shape=(10, 12, 3)))
 
+    def test_wider_dtype_rejected_not_cast(self):
+        # 300 fits uint16 but would wrap to 44 in a uint8 slot.
+        buf = DoubleBuffer((12, 10, 3))
+        with pytest.raises(MeteringError):
+            buf.capture(np.full((12, 10, 3), 300, dtype=np.uint16))
+        assert (buf.captures, buf.bytes_copied) == (0, 0)
+        assert buf.previous is None
+
+    def test_float_frame_rejected_as_metering_error(self):
+        buf = DoubleBuffer((12, 10, 3))
+        buf.capture(frame(1))
+        with pytest.raises(MeteringError):
+            buf.capture(np.full((12, 10, 3), 2.0))
+        assert (buf.captures, buf.bytes_copied) == (1, 12 * 10 * 3)
+        assert (buf.previous == 1).all()
+
     def test_non_image_shape_rejected(self):
         with pytest.raises(MeteringError):
             DoubleBuffer((10,))
@@ -93,3 +109,16 @@ class TestSampledDoubleBuffer:
         buf = SampledDoubleBuffer(self._grid())
         with pytest.raises(MeteringError):
             buf.capture(frame(1, shape=(13, 10, 3)))
+
+    @pytest.mark.parametrize("dtype, value", [(np.uint16, 300),
+                                              (np.float64, 2.0)])
+    def test_dtype_mismatch_rejected_before_counting(self, dtype, value):
+        grid = self._grid()
+        buf = SampledDoubleBuffer(grid)
+        pixels = np.full((12, 10, 3), value, dtype=dtype)
+        with pytest.raises(MeteringError):
+            buf.capture(pixels)
+        with pytest.raises(MeteringError):
+            buf.capture_samples(grid.sample(pixels))
+        assert (buf.captures, buf.bytes_copied) == (0, 0)
+        assert buf.previous is None

@@ -19,23 +19,30 @@ from repro.power.oled import OledEmissionTracker, OledModel
 
 
 class WriteSpy:
-    """Counts the two kinds of framebuffer update on one instance."""
+    """Counts the two kinds of framebuffer update on one instance: a
+    pixel update (``write`` or ``present``) and a proven-unchanged one."""
 
     def __init__(self, framebuffer):
         self.writes = 0
         self.unchanged = 0
-        write, write_unchanged = (framebuffer.write,
-                                  framebuffer.write_unchanged)
+        write, present, write_unchanged = (framebuffer.write,
+                                           framebuffer.present,
+                                           framebuffer.write_unchanged)
 
         def spy_write(pixels, time):
             self.writes += 1
             write(pixels, time)
+
+        def spy_present(frame, time):
+            self.writes += 1
+            present(frame, time)
 
         def spy_unchanged(time):
             self.unchanged += 1
             write_unchanged(time)
 
         framebuffer.write = spy_write
+        framebuffer.present = spy_present
         framebuffer.write_unchanged = spy_unchanged
 
 

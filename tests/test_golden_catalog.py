@@ -41,6 +41,14 @@ CASES["Jelly Splash/section+boost/oled"] = SessionConfig(
 CASES["Jelly Splash/section+boost/native"] = SessionConfig(
     app="Jelly Splash", governor="section+boost", duration_s=4.0,
     seed=7, resolution_divisor=1)
+# Video at the panel's native 720x1280: every composite is meaningful,
+# so each one takes the full blit, present and ground-truth compare.
+CASES["MX Player/fixed/native"] = SessionConfig(
+    app="MX Player", governor="fixed", duration_s=4.0, seed=7,
+    resolution_divisor=1)
+CASES["Asphalt 8/section/native"] = SessionConfig(
+    app="Asphalt 8", governor="section", duration_s=4.0, seed=7,
+    resolution_divisor=1)
 CASES["Facebook/section/sampled-store"] = SessionConfig(
     app="Facebook", governor="section", duration_s=10.0, seed=7,
     meter=MeterConfig(store_full_frames=False, min_changed_cells=3))

@@ -71,6 +71,83 @@ class TestFramebuffer:
         assert snap.sum() == 0
 
 
+class TestFramebufferPresent:
+    def test_present_shows_the_frame_itself_read_only(self, fb):
+        frame = np.full((12, 16, 3), 7, dtype=np.uint8)
+        seen = []
+        fb.add_update_listener(
+            lambda t, f: seen.append((t, f.generation,
+                                      f.last_write_unchanged)))
+        fb.present(frame, time=2.0)
+        assert fb.pixels is frame
+        assert seen == [(2.0, 1, False)]
+        assert fb.last_update_time == 2.0
+        assert not frame.flags.writeable
+        with pytest.raises(ValueError):
+            fb.pixels[...] = 1
+        assert (frame == 7).all()
+
+    def test_write_after_present_leaves_presented_frame_alone(self, fb):
+        frame = np.full((12, 16, 3), 7, dtype=np.uint8)
+        fb.present(frame, 1.0)
+        fb.write(np.full((12, 16, 3), 9, dtype=np.uint8), 2.0)
+        assert (frame == 7).all()
+        assert fb.pixels is not frame
+        assert (fb.pixels == 9).all()
+        assert fb.pixels.flags.writeable
+        assert fb.generation == 2
+
+    def test_foreign_write_keeps_compositor_previous_composite(self):
+        fb = Framebuffer(16, 12)
+        sm = SurfaceManager(fb)
+        surface = Surface(16, 12, name="app")
+        sm.register_surface(surface)
+        surface.fill((5, 6, 7))
+        sm.post(surface)
+        sm.on_vsync(1.0)
+        composite = fb.pixels
+        fb.write(np.full((12, 16, 3), 9, dtype=np.uint8), 1.5)
+        assert (composite == [5, 6, 7]).all()
+        # Reposting the unchanged surface is redundant against the
+        # compositor's own last composite, and repaints over the
+        # foreign frame.
+        sm.post(surface)
+        sm.on_vsync(2.0)
+        assert sm.redundant_compositions == 1
+        assert not fb.last_write_unchanged
+        assert (fb.pixels == [5, 6, 7]).all()
+
+    def test_compositor_hands_back_only_replaced_frames(self):
+        fb = Framebuffer(16, 12)
+        sm = SurfaceManager(fb)
+        surface = Surface(16, 12, name="app")
+        sm.register_surface(surface)
+        previous = None
+        for step, level in enumerate((10, 20, 30, 30, 40)):
+            surface.fill((level, level, level))
+            sm.post(surface)
+            sm.on_vsync(float(step))
+            shown = fb.pixels
+            assert not shown.flags.writeable
+            assert (shown == level).all()
+            if previous is not None and previous is not shown:
+                # Replaced on screen: the compositor's scratch again.
+                assert previous.flags.writeable
+            previous = shown
+        assert sm.redundant_compositions == 1
+
+    @pytest.mark.parametrize("frame", [
+        np.zeros((12, 15, 3), dtype=np.uint8),
+        np.zeros((12, 16, 3), dtype=np.uint16),
+        np.zeros((12, 32, 3), dtype=np.uint8)[:, ::2],
+    ], ids=["shape", "dtype", "strided"])
+    def test_present_rejects_bad_frames(self, fb, frame):
+        with pytest.raises(GraphicsError):
+            fb.present(frame, 1.0)
+        assert fb.generation == 0
+        assert frame.flags.writeable
+
+
 class TestSurface:
     def test_damage_tracking(self):
         s = Surface(8, 8)

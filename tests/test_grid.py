@@ -140,6 +140,18 @@ class TestGridComparator:
         with pytest.raises(MeteringError):
             comp.frames_equal(a, np.zeros((3, 3, 3), dtype=np.uint8))
 
+    def test_rejected_call_counts_nothing(self):
+        a, b = self._frames()
+        comp = GridComparator(GridSpec((100, 100), 10, 10))
+        b[5, 5] = 255 - b[5, 5]
+        comp.frames_equal(a, b)
+        for current, previous in (
+                (a, np.zeros((3, 3, 3), dtype=np.uint8)),
+                (np.zeros((99, 100, 3), dtype=np.uint8), b)):
+            with pytest.raises(MeteringError):
+                comp.frames_equal(current, previous)
+        assert (comp.comparisons, comp.mismatches) == (1, 1)
+
     def test_counters(self):
         a, b = self._frames()
         comp = GridComparator(GridSpec((100, 100), 10, 10))
