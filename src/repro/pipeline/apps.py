@@ -27,6 +27,7 @@ from ..apps.catalog import all_app_names, app_profile
 from ..apps.profile import AppProfile
 from ..apps.wallpaper import WallpaperProfile, nexus_revamped
 from ..errors import WorkloadError
+from ..sim.scenario import ScenarioWorkload
 from ..traces.profile import TRACE_APP_PREFIX, TraceProfile
 from .registry import Registry
 
@@ -56,7 +57,8 @@ del _name
 
 
 def resolve_workload(
-        app: Union[str, WorkloadProfile]) -> WorkloadProfile:
+        app: Union[str, WorkloadProfile, ScenarioWorkload]
+) -> Union[WorkloadProfile, ScenarioWorkload]:
     """The profile object behind a session's ``app`` field.
 
     Strings go through the registry — except the ``"trace:<path>"``
@@ -67,7 +69,8 @@ def resolve_workload(
     :class:`~repro.apps.wallpaper.LiveWallpaper`; a
     :class:`~repro.traces.profile.TraceProfile` result means it should
     replay the trace through a
-    :class:`~repro.traces.source.TraceFrameSource`.
+    :class:`~repro.traces.source.TraceFrameSource`; a
+    :class:`~repro.sim.scenario.ScenarioWorkload` switches apps.
     """
     if isinstance(app, str):
         if app.startswith(TRACE_APP_PREFIX):
@@ -77,10 +80,10 @@ def resolve_workload(
 
 
 def resolve_app_profile(
-        app: Union[str, WorkloadProfile]) -> AppProfile:
+        app: Union[str, WorkloadProfile, ScenarioWorkload]) -> AppProfile:
     """Like :func:`resolve_workload`, flattened to an
-    :class:`~repro.apps.profile.AppProfile` (wallpapers and traces
-    adapted)."""
+    :class:`~repro.apps.profile.AppProfile` (wallpapers, traces and
+    scenarios adapted)."""
     workload = resolve_workload(app)
     if isinstance(workload, AppProfile):
         return workload

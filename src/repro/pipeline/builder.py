@@ -51,6 +51,11 @@ from ..inputs.monkey import MonkeyScriptGenerator
 from ..inputs.touch import TouchEvent, TouchKind, TouchScript, TouchSource
 from ..power.oled import OledEmissionTracker, OledModel
 from ..sim.engine import Simulator
+from ..sim.scenario import (
+    ScenarioApplication,
+    ScenarioWorkload,
+    SessionApplication,
+)
 from ..sim.tracing import EventLog
 from ..telemetry.events import EVENT_SESSION_END, EVENT_SESSION_START
 from ..telemetry.hub import TelemetryHub, build_hub
@@ -89,7 +94,7 @@ class SessionBuilder:
         self.panel: Optional[DisplayPanel] = None
         self.meter: Optional[ContentRateMeter] = None
         self.oled_tracker: Optional[OledEmissionTracker] = None
-        self.application: Optional[Application] = None
+        self.application: Optional[SessionApplication] = None
         self.status_bar_app: Optional[Application] = None
         self.compositions: Optional[EventLog] = None
         self.meaningful_compositions: Optional[EventLog] = None
@@ -175,36 +180,44 @@ class SessionBuilder:
         """Stage 6: the app (and optional status-bar overlay).
 
         The content seed derives from the master seed only — runs with
-        different governors see identical workloads.
+        different governors see identical workloads.  A scenario's
+        segments bring their own surfaces, registered as each launches.
         """
         config = self.config
         framebuffer = self._need(self.framebuffer, "framebuffer")
         compositor = self._need(self.compositor, "compositor")
-        surface = Surface(framebuffer.width, framebuffer.height,
-                          name=self.profile.name)
-        compositor.register_surface(surface)
         app_seed = config.seed * 1_000_003 + 1
         workload = resolve_workload(config.app)
-        if isinstance(config.app, WallpaperProfile):
-            self.application = LiveWallpaper(
-                config.app, self.sim, compositor, surface, seed=app_seed)
-        elif isinstance(workload, TraceProfile):
-            trace = workload.load()
-            if (trace.width, trace.height) != (framebuffer.width,
-                                               framebuffer.height):
-                raise ConfigurationError(
-                    f"trace {workload.path} was recorded at "
-                    f"{trace.width}x{trace.height} but this session's "
-                    f"framebuffer is {framebuffer.width}x"
-                    f"{framebuffer.height}; replay with the panel and "
-                    f"resolution_divisor the trace was recorded at")
-            self.application = TraceFrameSource(
-                trace, self.profile, self.sim, compositor, surface,
-                seed=app_seed)
+        if isinstance(workload, ScenarioWorkload):
+            self.application = ScenarioApplication(
+                workload, self.sim, compositor, framebuffer.width,
+                framebuffer.height, seed=app_seed)
         else:
-            self.application = Application(
-                self.profile, self.sim, compositor, surface,
-                seed=app_seed)
+            surface = Surface(framebuffer.width, framebuffer.height,
+                              name=self.profile.name)
+            compositor.register_surface(surface)
+            if isinstance(config.app, WallpaperProfile):
+                self.application = LiveWallpaper(
+                    config.app, self.sim, compositor, surface,
+                    seed=app_seed)
+            elif isinstance(workload, TraceProfile):
+                trace = workload.load()
+                if (trace.width, trace.height) != (framebuffer.width,
+                                                   framebuffer.height):
+                    raise ConfigurationError(
+                        f"trace {workload.path} was recorded at "
+                        f"{trace.width}x{trace.height} but this "
+                        f"session's framebuffer is {framebuffer.width}x"
+                        f"{framebuffer.height}; replay with the panel "
+                        f"and resolution_divisor the trace was recorded "
+                        f"at")
+                self.application = TraceFrameSource(
+                    trace, self.profile, self.sim, compositor, surface,
+                    seed=app_seed)
+            else:
+                self.application = Application(
+                    self.profile, self.sim, compositor, surface,
+                    seed=app_seed)
         if config.status_bar:
             bar_height = max(2, framebuffer.height // 24)
             bar_surface = Surface(framebuffer.width, bar_height,
@@ -273,8 +286,12 @@ class SessionBuilder:
         governor, so every policy replays the identical gesture
         sequence."""
         config = self.config
-        monkey = MonkeyScriptGenerator(config.resolve_monkey())
-        script = monkey.generate(config.seed * 7_777_777 + 13)
+        workload = resolve_workload(config.app)
+        if isinstance(workload, ScenarioWorkload):
+            script = workload.touch_script(config.seed * 7_777_777)
+        else:
+            monkey = MonkeyScriptGenerator(config.resolve_monkey())
+            script = monkey.generate(config.seed * 7_777_777 + 13)
         source = TouchSource(self.sim, script, injector=self.injector)
         source.add_listener(
             self._need(self.application, "application").on_touch)
@@ -332,7 +349,7 @@ class SessionBuilder:
 
 
 # ----------------------------------------------------------------------
-# Helpers shared with the legacy facade (moved from sim.session)
+# Helpers shared by the stages and the runner
 # ----------------------------------------------------------------------
 def finalize_telemetry(telemetry: TelemetryHub, config: "SessionConfig",
                        sim: Simulator, panel: DisplayPanel,

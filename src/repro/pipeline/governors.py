@@ -61,6 +61,7 @@ from ..governors import (
     SceneRateGovernor,
 )
 from ..graphics.framebuffer import Framebuffer
+from ..sim.scenario import SessionApplication
 from .registry import Registry
 
 #: Builtin selector strings, registered below in documented order.
@@ -114,7 +115,7 @@ class GovernorContext:
 
     panel: DisplayPanel
     meter: ContentRateMeter
-    application: Application
+    application: SessionApplication
     content_window_s: float = 1.0
     boost_hold_s: float = 1.0
     table_bias: int = 0
@@ -183,8 +184,11 @@ def make_naive(context: GovernorContext) -> GovernorPolicy:
 @GOVERNORS.register(GOVERNOR_ORACLE, builtin=True)
 def make_oracle(context: GovernorContext) -> GovernorPolicy:
     """Ground-truth content rate (upper bound on savings)."""
+    application = context.application
+    # SessionConfig rejects the oracle for a multi-app scenario.
+    assert isinstance(application, Application)
     return OracleGovernor(SectionTable.for_panel(context.spec),
-                          context.application)
+                          application)
 
 
 @GOVERNORS.register(GOVERNOR_E3, builtin=True)

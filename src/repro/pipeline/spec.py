@@ -40,6 +40,7 @@ from ..display.spec import PanelSpec
 from ..errors import SpecError
 from ..faults.plan import FaultPlan
 from ..inputs.monkey import MonkeyConfig
+from ..sim.scenario import ScenarioWorkload
 from ..telemetry.hub import TelemetryConfig
 from ..traces.profile import TraceProfile
 from .panels import PANELS, panel_key_for
@@ -51,6 +52,7 @@ SPEC_SCHEMA = "repro-session/1"
 APP_TYPE_PROFILE = "profile"
 APP_TYPE_WALLPAPER = "wallpaper"
 APP_TYPE_TRACE = "trace"
+APP_TYPE_SCENARIO = "scenario"
 
 D = TypeVar("D")
 
@@ -84,6 +86,10 @@ def _decode_value(tp: Any, value: Any, where: str) -> Any:
             return None
         if len(args) == 1:
             return _decode_value(args[0], value, where)
+        # An object decodes to the union's one dataclass (an AppProfile).
+        classes = [a for a in args if dataclasses.is_dataclass(a)]
+        if isinstance(value, Mapping) and len(classes) == 1:
+            return decode_dataclass(classes[0], value, where)
         return value
     if origin is tuple:
         args = typing.get_args(tp)
@@ -134,7 +140,8 @@ def decode_dataclass(cls: Type[D], data: Any, where: str) -> D:
 # App / panel field codecs (registry key or inline object)
 # ----------------------------------------------------------------------
 def _encode_app(
-        app: Union[str, AppProfile, WallpaperProfile, TraceProfile]
+        app: Union[str, AppProfile, WallpaperProfile, TraceProfile,
+                   ScenarioWorkload]
 ) -> Union[str, Dict[str, Any]]:
     if isinstance(app, str):
         return app
@@ -142,12 +149,15 @@ def _encode_app(
         return {"type": APP_TYPE_WALLPAPER, **encode_dataclass(app)}
     if isinstance(app, TraceProfile):
         return {"type": APP_TYPE_TRACE, **encode_dataclass(app)}
+    if isinstance(app, ScenarioWorkload):
+        return {"type": APP_TYPE_SCENARIO, **encode_dataclass(app)}
     return {"type": APP_TYPE_PROFILE, **encode_dataclass(app)}
 
 
 def _decode_app(
         value: Union[str, Mapping[str, Any]]
-) -> Union[str, AppProfile, WallpaperProfile, TraceProfile]:
+) -> Union[str, AppProfile, WallpaperProfile, TraceProfile,
+           ScenarioWorkload]:
     if isinstance(value, str):
         return value
     if not isinstance(value, Mapping):
@@ -161,10 +171,12 @@ def _decode_app(
         return decode_dataclass(AppProfile, fields, "app")
     if app_type == APP_TYPE_TRACE:
         return decode_dataclass(TraceProfile, fields, "app")
+    if app_type == APP_TYPE_SCENARIO:
+        return decode_dataclass(ScenarioWorkload, fields, "app")
     raise SpecError(
         f"app object needs 'type' of {APP_TYPE_PROFILE!r}, "
-        f"{APP_TYPE_WALLPAPER!r} or {APP_TYPE_TRACE!r}, "
-        f"got {app_type!r}")
+        f"{APP_TYPE_WALLPAPER!r}, {APP_TYPE_TRACE!r} or "
+        f"{APP_TYPE_SCENARIO!r}, got {app_type!r}")
 
 
 def _encode_panel(panel: PanelSpec) -> Union[str, Dict[str, Any]]:

@@ -71,6 +71,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 import numpy as np
 import numpy.typing as npt
 
+from ..apps.base import Application
 from ..apps.profile import AppProfile
 from ..baselines.fixed import FixedRefreshGovernor
 from ..core.governor import (
@@ -88,7 +89,6 @@ from ..pipeline.governors import (
 )
 
 if TYPE_CHECKING:
-    from ..apps.base import Application
     from ..pipeline.builder import SessionBuilder
     from .session import SessionConfig
 
@@ -236,10 +236,9 @@ class FastForward:
             # The policy must also be a builtin whose select_rate is
             # pure: a registry may rebind an allowlisted name.
             return None
-        apps: List["Application"] = [
-            builder._need(builder.application, "application")]
-        if builder.status_bar_app is not None:
-            apps.append(builder.status_bar_app)
+        apps: List[Application] = [
+            app for app in (builder.application, builder.status_bar_app)
+            if isinstance(app, Application)]
         panel = builder._need(builder.panel, "panel")
         compositor = builder._need(builder.compositor, "compositor")
         # Skipped V-Syncs notify nobody: every V-Sync listener must be

@@ -9,38 +9,37 @@ display manager persists across segments, so the benchmark question —
 does the governor adapt when the workload changes under it? — is
 exercised directly.
 
-Pricing honours per-app costs: each segment is evaluated over its own
-window with its own profile via
-:meth:`repro.power.model.PowerModel.evaluate_window`, and the scenario
-total is the sum.
+The segment list is a session workload (:class:`ScenarioWorkload`),
+assembled and run like any other; :func:`run_scenario` is a facade.
+Each segment is priced over its own window under its own profile, and
+the scenario total is the sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from functools import partial
+from itertools import accumulate
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple, Union
 
 from ..apps.base import Application
 from ..apps.catalog import app_profile
 from ..apps.profile import AppProfile
-from ..core.content_rate import ContentRateMeter, MeterConfig
+from ..core.content_rate import MeterConfig
 from ..core.quality import quality_vs_baseline
-from ..display.panel import DisplayPanel
 from ..display.presets import GALAXY_S3_PANEL
 from ..display.spec import PanelSpec
 from ..errors import ConfigurationError
 from ..graphics.compositor import SurfaceManager
-from ..graphics.framebuffer import Framebuffer
 from ..graphics.surface import Surface
 from ..inputs.monkey import MonkeyConfig, MonkeyScriptGenerator
 from ..inputs.touch import TouchEvent, TouchScript, merge_scripts
-from ..power.model import PowerModel, PowerReport
-from ..sim.engine import Simulator
-from ..pipeline.governors import GOVERNOR_ORACLE, GOVERNORS
-from ..sim.session import build_policy
-from ..sim.tracing import EventLog
-from ..core.governor import GovernorDriver
-from ..units import ensure_positive, ensure_positive_int
+from ..units import ensure_positive
+from .engine import Simulator
+from .tracing import EventLog
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .session import SessionConfig, SessionResult
 
 
 @dataclass(frozen=True)
@@ -61,32 +60,20 @@ class ScenarioSegment:
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
-    """A full usage scenario."""
+class ScenarioWorkload:
+    """A segment list as a session workload (``SessionConfig.app``).
+
+    Unknown app names fail here, at construction.
+    """
 
     segments: Tuple[ScenarioSegment, ...]
-    governor: str = "section+boost"
-    seed: int = 0
-    panel: PanelSpec = GALAXY_S3_PANEL
-    resolution_divisor: int = 8
-    meter: MeterConfig = field(default_factory=MeterConfig)
-    decision_period_s: float = 0.2
-    boost_hold_s: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
-            raise ConfigurationError("scenario needs at least one "
-                                     "segment")
-        ensure_positive_int(self.resolution_divisor,
-                            "resolution_divisor")
-        if self.governor not in GOVERNORS:
-            raise ConfigurationError(
-                f"unknown governor {self.governor!r}; "
-                f"choices: {GOVERNORS.names()}")
-        if self.governor == GOVERNOR_ORACLE:
-            raise ConfigurationError(
-                "the oracle governor is bound to a single application; "
-                "use per-app sessions for oracle comparisons")
+            raise ConfigurationError("scenario needs at least one segment")
+        for segment in self.segments:
+            segment.resolve_profile()
 
     @property
     def total_duration_s(self) -> float:
@@ -95,17 +82,36 @@ class ScenarioConfig:
 
     def boundaries(self) -> List[Tuple[float, float]]:
         """``(start, end)`` of each segment."""
-        out = []
-        t = 0.0
-        for segment in self.segments:
-            out.append((t, t + segment.duration_s))
-            t += segment.duration_s
-        return out
+        ends = list(accumulate(seg.duration_s for seg in self.segments))
+        return list(zip([0.0] + ends[:-1], ends))
+
+    def as_app_profile(self) -> AppProfile:
+        """The opening segment's profile (``SessionResult.profile``)."""
+        return self.segments[0].resolve_profile()
+
+    def touch_script(self, seed: int) -> TouchScript:
+        """Each segment's own Monkey script, seeded ``seed + 131 *
+        index`` and shifted into its window, merged."""
+        scripts = []
+        for index, (segment, (start, _)) in enumerate(
+                zip(self.segments, self.boundaries())):
+            profile = segment.resolve_profile()
+            monkey = MonkeyScriptGenerator(MonkeyConfig(
+                duration_s=segment.duration_s,
+                events_per_s=profile.touch_events_per_s,
+                scroll_fraction=profile.scroll_fraction,
+            ))
+            scripts.append(TouchScript([
+                TouchEvent(time=e.time + start, kind=e.kind,
+                           duration_s=e.duration_s)
+                for e in monkey.generate(seed + 131 * index)
+            ]))
+        return merge_scripts(scripts)
 
 
 @dataclass
 class SegmentResult:
-    """Traces and pricing inputs for one completed segment."""
+    """One segment of a scenario session: its app and its window."""
 
     profile: AppProfile
     start_s: float
@@ -117,55 +123,140 @@ class SegmentResult:
         return self.end_s - self.start_s
 
 
+class ScenarioApplication:
+    """A scenario session's application: one
+    :class:`~repro.apps.base.Application` per segment (seeded ``seed +
+    7 * index``, all built up front so the workload is
+    governor-independent), launched on the simulation clock.  V-Syncs
+    and touches go to the app in the foreground.
+    """
+
+    def __init__(self, workload: ScenarioWorkload, sim: Simulator,
+                 compositor: SurfaceManager, width: int, height: int,
+                 seed: int) -> None:
+        self._sim = sim
+        self._compositor = compositor
+        self._active: Optional[Application] = None
+        self.segments: List[SegmentResult] = []
+        for index, (segment, (start, end)) in enumerate(
+                zip(workload.segments, workload.boundaries())):
+            profile = segment.resolve_profile()
+            surface = Surface(width, height,
+                              name=f"{profile.name}#{index}")
+            self.segments.append(SegmentResult(
+                profile, start, end, Application(
+                    profile, sim, compositor, surface,
+                    seed=seed + 7 * index)))
+
+    def start(self) -> None:
+        """Schedule every segment's launch at its start time."""
+        for index, segment in enumerate(self.segments):
+            self._sim.call_at(segment.start_s, partial(self._launch, index),
+                              name=f"segment-{index}")
+
+    def _launch(self, index: int, sim: Simulator) -> None:
+        if self._active is not None:
+            self._compositor.unregister_surface(self._active.surface)
+        application = self.segments[index].application
+        self._compositor.register_surface(application.surface)
+        # Launch transition: the new app's first frame repaints the
+        # screen.
+        application.surface.fill((18 + 23 * index % 200, 24, 32))
+        self._compositor.post(application.surface)
+        application.start()
+        self._active = application
+
+    def on_vsync(self, time: float) -> None:
+        if self._active is not None:
+            self._active.on_vsync(time)
+
+    def on_touch(self, event: TouchEvent) -> None:
+        if self._active is not None:
+            self._active.on_touch(event)
+
+    def _merged(self, name: str) -> EventLog:
+        # A backgrounded app's content process keeps ticking; only
+        # what happened inside a segment's window is the scenario's.
+        log = EventLog(name)
+        for segment in self.segments:
+            times = getattr(segment.application, name).times
+            log.extend(times[times <= segment.end_s].tolist())
+        return log
+
+    @property
+    def renders(self) -> EventLog:
+        """Every segment's render passes, in time order."""
+        return self._merged("renders")
+
+    @property
+    def content_changes(self) -> EventLog:
+        """Every segment's content changes inside its window."""
+        return self._merged("content_changes")
+
+
+#: What a session's ``application`` is: one app, or a scenario's.
+SessionApplication = Union[Application, ScenarioApplication]
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """A full usage scenario, validated by building its
+    :meth:`session_config`."""
+
+    segments: Tuple[ScenarioSegment, ...]
+    governor: str = "section+boost"
+    seed: int = 0
+    panel: PanelSpec = GALAXY_S3_PANEL
+    resolution_divisor: int = 8
+    meter: MeterConfig = field(default_factory=MeterConfig)
+    decision_period_s: float = 0.2
+    boost_hold_s: float = 1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "segments", tuple(self.segments))
+        self.session_config()
+
+    def session_config(self) -> "SessionConfig":
+        """The session this scenario runs as."""
+        from .session import SessionConfig
+
+        workload = ScenarioWorkload(self.segments)
+        return SessionConfig(
+            app=workload, governor=self.governor,
+            duration_s=workload.total_duration_s, seed=self.seed,
+            panel=self.panel, resolution_divisor=self.resolution_divisor,
+            meter=self.meter, decision_period_s=self.decision_period_s,
+            boost_hold_s=self.boost_hold_s)
+
+    @property
+    def total_duration_s(self) -> float:
+        """Scenario length: the sum of segment durations."""
+        return ScenarioWorkload(self.segments).total_duration_s
+
+    def boundaries(self) -> List[Tuple[float, float]]:
+        """``(start, end)`` of each segment."""
+        return ScenarioWorkload(self.segments).boundaries()
+
+
 @dataclass
 class ScenarioResult:
-    """Everything one scenario run produced."""
+    """A scenario's session result, viewed segment by segment.
+
+    Attributes not defined here are the session's: ``segments``,
+    ``panel``, ``meter``, ``compositions``, ``meaningful_compositions``,
+    ``touch_script``, ``governor_name``, ``mean_refresh_rate_hz``,
+    ``power_report(model)`` and ``segment_power(segment, model)``.
+    """
 
     config: ScenarioConfig
-    governor_name: str
-    metering_active: bool
-    panel: DisplayPanel
-    meter: ContentRateMeter
-    segments: List[SegmentResult]
-    touch_script: TouchScript
-    compositions: EventLog
-    meaningful_compositions: EventLog
+    session: "SessionResult"
 
-    # ------------------------------------------------------------------
-    # Derived metrics
-    # ------------------------------------------------------------------
-    def power_report(self,
-                     model: Optional[PowerModel] = None) -> PowerReport:
-        """Whole-scenario energy: per-segment windows summed."""
-        model = model or PowerModel()
-        from ..power.model import PowerBreakdown
-        totals = dict(base_mj=0.0, panel_mj=0.0, compose_mj=0.0,
-                      render_mj=0.0, meter_mj=0.0, emission_mj=0.0)
-        for segment in self.segments:
-            report = self.segment_power(segment, model)
-            b = report.breakdown
-            totals["base_mj"] += b.base_mj
-            totals["panel_mj"] += b.panel_mj
-            totals["compose_mj"] += b.compose_mj
-            totals["render_mj"] += b.render_mj
-            totals["meter_mj"] += b.meter_mj
-            totals["emission_mj"] += b.emission_mj
-        return PowerReport(duration_s=self.config.total_duration_s,
-                           breakdown=PowerBreakdown(**totals))
-
-    def segment_power(self, segment: SegmentResult,
-                      model: Optional[PowerModel] = None) -> PowerReport:
-        """Energy of one segment under its own app profile."""
-        model = model or PowerModel()
-        return model.evaluate_window(
-            profile=segment.profile,
-            rate_history=self.panel.rate_history,
-            compositions=self.compositions,
-            renders=segment.application.renders,
-            start_s=segment.start_s,
-            end_s=segment.end_s,
-            metering_active=self.metering_active,
-        )
+    def __getattr__(self, name: str) -> Any:
+        try:
+            session = self.__dict__["session"]
+        except KeyError:
+            raise AttributeError(name) from None
+        return getattr(session, name)
 
     def segment_content_fps(self, segment: SegmentResult) -> float:
         """Displayed content rate within one segment."""
@@ -180,139 +271,10 @@ class ScenarioResult:
             baseline.segments[segment_index])
         return quality_vs_baseline(mine, theirs)
 
-    @property
-    def mean_refresh_rate_hz(self) -> float:
-        """Time-weighted mean refresh rate over the scenario."""
-        return self.panel.rate_history.mean(
-            0.0, self.config.total_duration_s)
-
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Run a multi-app scenario and return its traces."""
-    sim = Simulator()
-    spec = config.panel
-    fb_width = max(8, spec.width // config.resolution_divisor)
-    fb_height = max(8, spec.height // config.resolution_divisor)
-    framebuffer = Framebuffer(fb_width, fb_height)
-    compositor = SurfaceManager(framebuffer)
-    panel = DisplayPanel(sim, spec)
-    meter = ContentRateMeter(framebuffer, config.meter)
-
-    compositions = EventLog("compositions")
-    meaningful = EventLog("meaningful_compositions")
-
-    def _log_composition(time: float, redundant: bool) -> None:
-        compositions.append(time)
-        if not redundant:
-            meaningful.append(time)
-
-    compositor.add_composition_listener(_log_composition)
-
-    # --- Build every segment's app and touch script up front so the
-    # workload is governor-independent (same controlled-comparison
-    # property as single-app sessions). ---
-    boundaries = config.boundaries()
-    segments: List[SegmentResult] = []
-    scripts = []
-    for index, (segment, (start, end)) in enumerate(
-            zip(config.segments, boundaries)):
-        profile = segment.resolve_profile()
-        surface = Surface(fb_width, fb_height,
-                          name=f"{profile.name}#{index}")
-        app_seed = config.seed * 1_000_003 + 7 * index + 1
-        application = Application(profile, sim, compositor, surface,
-                                  seed=app_seed)
-        segments.append(SegmentResult(
-            profile=profile, start_s=start, end_s=end,
-            application=application))
-        monkey = MonkeyScriptGenerator(MonkeyConfig(
-            duration_s=segment.duration_s,
-            events_per_s=profile.touch_events_per_s,
-            scroll_fraction=profile.scroll_fraction,
-        ))
-        script = monkey.generate(config.seed * 7_777_777 + 131 * index)
-        scripts.append(TouchScript([
-            TouchEvent(time=e.time + start, kind=e.kind,
-                       duration_s=e.duration_s)
-            for e in script
-        ]))
-    merged_script = merge_scripts(scripts)
-
-    # --- Policy and driver (a dummy first-segment app satisfies the
-    # oracle interface, which ScenarioConfig already forbids). ---
-    from ..sim.session import SessionConfig
-    policy_config = SessionConfig(
-        app=segments[0].profile, governor=config.governor,
-        duration_s=config.total_duration_s, seed=config.seed,
-        panel=spec, resolution_divisor=config.resolution_divisor,
-        meter=config.meter, decision_period_s=config.decision_period_s,
-        boost_hold_s=config.boost_hold_s)
-    policy = build_policy(policy_config, panel, meter,
-                          segments[0].application,
-                          framebuffer=framebuffer)
-    driver = GovernorDriver(sim, panel, policy,
-                            config.decision_period_s)
-
-    # --- Segment switching on the simulation clock ---
-    active = {"index": None}
-
-    def activate(index: int):
-        def do_activate(s: Simulator) -> None:
-            if active["index"] is not None:
-                previous = segments[active["index"]]
-                compositor.unregister_surface(
-                    previous.application.surface)
-            segment = segments[index]
-            surface = segment.application.surface
-            compositor.register_surface(surface)
-            # Launch transition: the new app's first frame repaints
-            # the screen.
-            surface.fill((18 + 23 * index % 200, 24, 32))
-            compositor.post(surface)
-            segment.application.start()
-            active["index"] = index
-        return do_activate
-
-    for index, (start, _) in enumerate(boundaries):
-        sim.call_at(start, activate(index), name=f"segment-{index}")
-
-    # --- V-Sync wiring: route to the active segment's app ---
-    def on_vsync(time: float) -> None:
-        if active["index"] is not None:
-            segments[active["index"]].application.on_vsync(time)
-
-    panel.add_vsync_listener(on_vsync)
-    panel.add_vsync_listener(compositor.on_vsync)
-
-    # --- Touch wiring: route to the active app + the governor ---
-    from ..pipeline.builder import make_governor_touch_adapter
-    governor_touch = make_governor_touch_adapter(sim, driver, policy)
-
-    def deliver_touch(event: TouchEvent) -> None:
-        if active["index"] is not None:
-            segments[active["index"]].application.on_touch(event)
-        governor_touch(event)
-
-    from ..inputs.touch import TouchSource
-    touch_source = TouchSource(sim, merged_script)
-    touch_source.add_listener(deliver_touch)
-
-    # --- Run ---
-    panel.start()
-    driver.start()
-    touch_source.start()
-    sim.run_until(config.total_duration_s)
-    driver.stop()
-    panel.stop()
+    from ..pipeline.builder import SessionBuilder
 
     return ScenarioResult(
-        config=config,
-        governor_name=policy.name,
-        metering_active=config.governor != "fixed",
-        panel=panel,
-        meter=meter,
-        segments=segments,
-        touch_script=merged_script,
-        compositions=compositions,
-        meaningful_compositions=meaningful,
-    )
+        config, SessionBuilder(config.session_config()).run())

@@ -1,39 +1,35 @@
-"""Session runner: one application, one governor, one Monkey script.
+"""Session configuration, results, and the :func:`run_session` facade.
 
-This is the reproduction of the paper's experimental unit: "for each
-application, we repeated the same script generated by Monkey, and
-measured the device's power consumption with and without the proposed
-system."  :func:`run_session` wires the full pipeline —
+A session is the paper's experimental unit: "for each application, we
+repeated the same script generated by Monkey, and measured the
+device's power consumption with and without the proposed system."  One
+workload — an app, a live wallpaper, a recorded trace, or a multi-app
+scenario (:mod:`repro.sim.scenario`) — runs under one governor through
+the full pipeline
 
     touch script -> application model -> surface -> compositor ->
     framebuffer -> content-rate meter -> governor -> panel -> V-Sync
     back into the application render loop
 
-— runs it for the configured duration, and returns a
-:class:`SessionResult` holding every trace the figures need.  Because
-the content process and the touch script are seeded independently of
-the governor, runs with different governors see *identical* workloads.
-
-Since the pipeline refactor the assembly itself lives in
-:class:`repro.pipeline.builder.SessionBuilder` and the component
-choices (governors, apps, panels) in the :mod:`repro.pipeline`
-registries; this module keeps the configuration/result types and the
-:func:`run_session` facade, which is now a thin wrapper over the
-builder.  Governors registered through
-:data:`repro.pipeline.GOVERNORS` are accepted by
+assembled by :class:`repro.pipeline.builder.SessionBuilder` and run by
+:class:`repro.sim.runner.SessionRunner`; :class:`SessionResult` holds
+every trace the figures need.  The content process and the touch
+script are seeded independently of the governor, so runs with
+different governors see *identical* workloads.  Governors registered
+through :data:`repro.pipeline.GOVERNORS` are accepted by
 :class:`SessionConfig` exactly like the builtins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import List, Optional, Union
 
 from ..apps.base import Application
 from ..apps.profile import AppProfile
 from ..apps.wallpaper import WallpaperProfile
 from ..core.content_rate import ContentRateMeter, MeterConfig
-from ..core.governor import GovernorDriver, GovernorPolicy
+from ..core.governor import GovernorDriver
 from ..core.quality import QualityReport, compute_quality
 from ..core.watchdog import GovernorWatchdog, WatchdogConfig
 from ..display.panel import DisplayPanel
@@ -42,25 +38,23 @@ from ..display.spec import PanelSpec
 from ..errors import ConfigurationError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
-from ..graphics.framebuffer import Framebuffer
 from ..inputs.monkey import MonkeyConfig
 from ..inputs.touch import TouchScript
 from ..pipeline.apps import resolve_app_profile
-from ..pipeline.builder import (
-    SCROLL_MOVE_EVENT_HZ,
-    SessionBuilder,
-    finalize_telemetry as _finalize_telemetry,
-    make_governor_touch_adapter as _make_governor_touch_adapter,
-    status_bar_profile as _status_bar_profile,
-)
-from ..pipeline.governors import GOVERNORS, GovernorContext, build_governor
-from ..power.model import PowerModel, PowerReport
+from ..pipeline.builder import SessionBuilder
+from ..pipeline.governors import GOVERNOR_ORACLE, GOVERNORS
+from ..power.model import PowerBreakdown, PowerModel, PowerReport
 from ..power.oled import OledEmissionTracker
-from ..sim.runner import SessionRunner, resume_runner
 from ..sim.tracing import EventLog
 from ..telemetry.hub import TelemetryConfig, TelemetryHub
 from ..traces.profile import TraceProfile
 from ..units import ensure_positive, ensure_positive_int
+from .scenario import (
+    ScenarioApplication,
+    ScenarioWorkload,
+    SegmentResult,
+    SessionApplication,
+)
 
 #: The builtin governor selector strings, in documented order.  Kept
 #: as a tuple for back-compat; :class:`SessionConfig` validates against
@@ -70,18 +64,9 @@ GOVERNOR_CHOICES = GOVERNORS.builtin_names()
 
 __all__ = [
     "GOVERNOR_CHOICES",
-    "SCROLL_MOVE_EVENT_HZ",
     "SessionConfig",
     "SessionResult",
-    "SessionRunner",
-    "build_policy",
-    "resume_runner",
     "run_session",
-    # Legacy private helpers, re-exported from the builder module for
-    # callers (e.g. the scenario player) that still import them here.
-    "_finalize_telemetry",
-    "_make_governor_touch_adapter",
-    "_status_bar_profile",
 ]
 
 
@@ -95,7 +80,9 @@ class SessionConfig:
         Registered workload name (catalog app or wallpaper — see
         :data:`repro.pipeline.APPS`), a ``"trace:<path>"`` frame-trace
         reference, an :class:`AppProfile`, a :class:`WallpaperProfile`,
-        or a :class:`~repro.traces.profile.TraceProfile`.
+        a :class:`~repro.traces.profile.TraceProfile`, or a multi-app
+        :class:`~repro.sim.scenario.ScenarioWorkload` (its segments must
+        total ``duration_s``; it takes no ``monkey`` and no oracle).
     governor:
         A selector registered in :data:`repro.pipeline.GOVERNORS`
         (builtins: :data:`GOVERNOR_CHOICES`).
@@ -149,7 +136,8 @@ class SessionConfig:
         bit-identical to the pre-telemetry pipeline.
     """
 
-    app: Union[str, AppProfile, WallpaperProfile, TraceProfile]
+    app: Union[str, AppProfile, WallpaperProfile, TraceProfile,
+               ScenarioWorkload]
     governor: str = "section+boost"
     duration_s: float = 60.0
     seed: int = 0
@@ -182,6 +170,15 @@ class SessionConfig:
         if self.table_bias < 0:
             raise ConfigurationError(
                 f"table_bias must be >= 0, got {self.table_bias}")
+        if isinstance(self.app, ScenarioWorkload):
+            if self.app.total_duration_s != self.duration_s:
+                raise ConfigurationError(
+                    f"scenario segments total {self.app.total_duration_s!r}"
+                    f" s, not duration_s={self.duration_s!r}")
+            if self.monkey is not None or self.governor == GOVERNOR_ORACLE:
+                raise ConfigurationError(
+                    "a scenario takes neither monkey= (each segment runs "
+                    "its own script) nor the single-app oracle governor")
 
     def resolve_profile(self) -> AppProfile:
         """The :class:`AppProfile` this config runs."""
@@ -220,7 +217,7 @@ class SessionResult:
     metering_active: bool
     panel: DisplayPanel
     meter: ContentRateMeter
-    application: Application
+    application: SessionApplication
     driver: GovernorDriver
     touch_script: TouchScript
     compositions: EventLog
@@ -236,14 +233,33 @@ class SessionResult:
     # ------------------------------------------------------------------
     def power_report(self,
                      model: Optional[PowerModel] = None) -> PowerReport:
-        """Session energy under a power model (default calibration)."""
+        """Session energy under a power model (default calibration):
+        each segment priced under its own app profile, and summed."""
+        parts = [self.segment_power(segment, model).breakdown
+                 for segment in self.segments]
+        return PowerReport(duration_s=self.duration_s, breakdown=(
+            PowerBreakdown(**{f.name: sum(getattr(p, f.name) for p in parts)
+                              for f in fields(PowerBreakdown)})))
+
+    @property
+    def segments(self) -> List[SegmentResult]:
+        """A scenario's segments; a single-app session is one."""
+        if isinstance(self.application, ScenarioApplication):
+            return self.application.segments
+        return [SegmentResult(self.profile, 0.0, self.duration_s,
+                              self.application)]
+
+    def segment_power(self, segment: SegmentResult,
+                      model: Optional[PowerModel] = None) -> PowerReport:
+        """Energy of one segment's window under its own app profile."""
         model = model or PowerModel()
-        return model.evaluate(
-            profile=self.profile,
+        return model.evaluate_window(
+            profile=segment.profile,
             rate_history=self.panel.rate_history,
             compositions=self.compositions,
-            renders=self.application.renders,
-            duration_s=self.duration_s,
+            renders=segment.application.renders,
+            start_s=segment.start_s,
+            end_s=segment.end_s,
             metering_active=self.metering_active,
             emission_history=(self.oled_tracker.history
                               if self.oled_tracker else None),
@@ -252,6 +268,9 @@ class SessionResult:
     def power_trace(self, model: Optional[PowerModel] = None,
                     bin_width_s: float = 1.0):
         """Binned power trace ``(centers, power_mw)``."""
+        if isinstance(self.application, ScenarioApplication):
+            raise ConfigurationError("a scenario has one app profile per "
+                                     "segment; price it with power_report")
         model = model or PowerModel()
         return model.power_trace(
             profile=self.profile,
@@ -341,25 +360,6 @@ class SessionResult:
     def mean_refresh_rate_hz(self) -> float:
         """Time-weighted mean panel refresh rate."""
         return self.panel.rate_history.mean(0.0, self.duration_s)
-
-
-def build_policy(config: SessionConfig, panel: DisplayPanel,
-                 meter: ContentRateMeter,
-                 application: Application,
-                 framebuffer: Optional[Framebuffer] = None,
-                 ) -> GovernorPolicy:
-    """Construct the policy named by ``config.governor``.
-
-    Delegates to the :data:`repro.pipeline.GOVERNORS` registry — the
-    single source of truth the old inline ``if/elif`` chain became.
-    """
-    context = GovernorContext(
-        panel=panel, meter=meter, application=application,
-        content_window_s=config.content_window_s,
-        boost_hold_s=config.boost_hold_s,
-        table_bias=config.table_bias,
-        framebuffer=framebuffer)
-    return build_governor(config.governor, context)
 
 
 def run_session(config: SessionConfig) -> SessionResult:
