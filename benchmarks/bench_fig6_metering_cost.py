@@ -71,18 +71,3 @@ def test_fig6_reproduction(benchmark):
     exact = [label for label in PAPER_PIXEL_BUDGETS
              if acc[label].error_rate == 0.0]
     assert min(exact, key=lambda lb: acc[lb].sample_count) == "9K"
-
-
-def test_fig6_catalog_accuracy(benchmark):
-    """Section 4.1's first validation: against ordinary application
-    content (scrolls, scene changes, video frames) the 9K meter is
-    essentially exact — "the accuracy of our scheme was initially
-    100 %" — because real app changes dwarf a 10 px grid cell."""
-    apps = ("Facebook", "MX Player", "Jelly Splash", "TempleRun",
-            "Cash Slide", "Naver Webtoon")
-    errors = benchmark.pedantic(
-        lambda: fig6.run_catalog_accuracy(duration_s=15.0, seed=5,
-                                          apps=list(apps)),
-        rounds=1, iterations=1)
-    for app, error in errors.items():
-        assert error < 0.02, (app, error)

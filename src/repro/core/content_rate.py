@@ -10,11 +10,15 @@ mismatch means the frame carried new content.  Timestamps of meaningful
 frames feed a sliding-window rate estimate that the refresh-rate
 governor consumes.
 
-The comparison only ever reads grid samples, so the meter keeps just
-the samples of the last judged frame.  The paper's previous-frame store
-(:mod:`~repro.core.double_buffer`) is *charged*, not performed: every
-frame update counts one capture, and :attr:`ContentRateMeter
-.bytes_copied` prices each at the configured scheme's slot size.
+The meter keeps no frame of its own.  While an update's listeners run,
+the framebuffer still holds the frame that update replaced
+(:attr:`~repro.graphics.framebuffer.Framebuffer.previous_pixels`, the
+device's double buffer), so each update is compared with it directly,
+coarse to fine, stopping at the first differing sample.  The paper's
+previous-frame store (:mod:`~repro.core.double_buffer`) is *charged*,
+not performed: every frame update counts one capture, and
+:attr:`ContentRateMeter.bytes_copied` prices each at the configured
+scheme's slot size.
 """
 
 from __future__ import annotations
@@ -136,16 +140,15 @@ class ContentRateMeter:
                                 * framebuffer.pixels.itemsize)
         self._frames = EventLog("frame_updates")
         self._meaningful = EventLog("meaningful_frames")
-        # Capture what the screen already shows: the first observed
-        # update is compared against the existing framebuffer contents,
-        # exactly like the compositor's own redundancy ground truth.
-        # (On the device the extra buffer would likewise be primed from
-        # the live framebuffer when metering starts.)  The reference is
-        # the grid samples of the last judged frame, so each judged
-        # frame is gathered once, not twice.
+        # The first observed update is compared against what the screen
+        # already shows, exactly like the compositor's own redundancy
+        # ground truth; on the device the extra buffer would be primed
+        # from the live framebuffer when metering starts, and that
+        # capture is charged here.
         self._captures = 1
-        self._reference = self.grid.sample(framebuffer.pixels).reshape(
-            self.grid.sample_count, -1)
+        # The framebuffer generation judged last: the frame on screen
+        # now counts as judged.
+        self._judged_generation = framebuffer.generation
         framebuffer.add_update_listener(self._on_frame_update)
 
     # ------------------------------------------------------------------
@@ -173,29 +176,41 @@ class ContentRateMeter:
     def _frame_meaningful(self, framebuffer: Framebuffer) -> bool:
         """The frame-diff judgement (the grid-comparison hot path).
 
+        The update's pixels are compared at the grid points with the
+        frame the update replaced (``previous_pixels``), which the
+        framebuffer still holds while its listeners run; under the
+        paper's any-change threshold the comparison stops at the first
+        differing sample.
+
         When the compositor proved the update's pixels identical to
         the previous frame (``last_write_unchanged``), the outcome is
-        known — not meaningful — and the reference samples stay valid.
-        The accounting is left exactly as the comparison would have
-        left it: ``frames_equal`` bumps the comparison counter,
-        ``count_changed`` does not.  Otherwise the new frame is
-        gathered once and compared against the reference samples, and
-        its samples become the next reference.
+        known — not meaningful — and nothing is read.  A listener that
+        writes the framebuffer from its own callback nests an update
+        inside another, and the meter may then be called again for a
+        generation it has judged already, after the nested write; that
+        call is likewise an equal comparison.  Either way the
+        accounting is left exactly as a comparison of the frame with
+        itself would leave it: ``frames_differ`` bumps the comparison
+        counter, ``count_changed`` does not.  One difference from a
+        meter that keeps its last judged frame remains: a nested frame
+        is compared with the frame it replaced, which the meter never
+        judged when it is registered after the writing listener, not
+        with the last frame the meter judged.
         """
         comparator = self.comparator
         threshold = self.config.min_changed_cells
-        if framebuffer.last_write_unchanged:
+        generation = framebuffer.generation
+        if (framebuffer.last_write_unchanged
+                or generation == self._judged_generation):
             if threshold == 1:
                 comparator.note_equal()
             return False
+        self._judged_generation = generation
         if threshold == 1:
-            meaningful = not comparator.frames_equal(framebuffer.pixels,
-                                                     self._reference)
-        else:
-            meaningful = comparator.count_changed(
-                framebuffer.pixels, self._reference) >= threshold
-        self._reference = comparator.last_samples
-        return meaningful
+            return comparator.frames_differ(framebuffer.pixels,
+                                            framebuffer.previous_pixels)
+        return comparator.count_changed(
+            framebuffer.pixels, framebuffer.previous_pixels) >= threshold
 
     def note_unchanged_updates(self, times: Sequence[float]) -> None:
         """Account a run of proven-unchanged frame updates in bulk.

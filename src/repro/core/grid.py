@@ -24,7 +24,7 @@ buffers restricted to those coordinates.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -39,6 +39,62 @@ PAPER_PIXEL_BUDGETS = {
     "36K": 144 * 256,
     "921K": 720 * 1280,
 }
+
+#: ``(stride, offset)`` of the sub-grids :meth:`GridComparator
+#: .frames_differ` reads before the rest of the grid, coarsest first:
+#: every 8th grid row and column, then every 2nd.  Two-dimensional
+#: sub-grids spread each stage over the whole screen whatever the
+#: grid's width, where a stride over the flattened samples can alias
+#: with it and miss a region until the last stage.
+_COARSE_STAGES = ((8, 4), (2, 1))
+
+#: Bytes of stage indices kept per process, one plan per grid geometry
+#: and channel count.  A plan that does not fit (the all-pixels grid at
+#: native resolution) is held by its :class:`GridSpec` alone.
+_STAGE_MEMO_BYTES = 4 << 20
+_stage_memo: Dict[Tuple[int, ...], Tuple[np.ndarray, ...]] = {}
+
+
+def _stage_plan(buffer_shape: Tuple[int, int], rows: np.ndarray,
+                cols: np.ndarray, channels: int
+                ) -> Tuple[np.ndarray, ...]:
+    """Element indices of each coarse-to-fine stage, read-only.
+
+    The stages partition the grid: the :data:`_COARSE_STAGES` sub-grids
+    in order, then every sample not yet read, each in row-major order.
+    A stage indexes the flattened ``(height * width * channels)``
+    buffer, ``channels`` consecutive elements per sample.  Empty stages
+    are dropped.  Plans are memoised per geometry while the memo stays
+    within :data:`_STAGE_MEMO_BYTES`.
+    """
+    key = (*buffer_shape, len(rows), len(cols), channels)
+    plan = _stage_memo.get(key)
+    if plan is not None:
+        return plan
+    flat = rows[:, None] * buffer_shape[1] + cols[None, :]
+    taken = np.zeros(flat.shape, dtype=bool)
+    samples = []
+    for stride, offset in _COARSE_STAGES:
+        stage = np.zeros_like(taken)
+        stage[offset::stride, offset::stride] = True
+        stage &= ~taken
+        taken |= stage
+        samples.append(flat[stage])
+    samples.append(flat[~taken])
+    stages = []
+    for sample in samples:
+        if sample.size:
+            stage = (sample[:, None] * channels
+                     + np.arange(channels)).ravel()
+            stage.flags.writeable = False
+            stages.append(stage)
+    plan = tuple(stages)
+    memo_bytes = sum(stage.nbytes for cached in _stage_memo.values()
+                     for stage in cached)
+    if memo_bytes + sum(stage.nbytes for stage in plan) \
+            <= _STAGE_MEMO_BYTES:
+        _stage_memo[key] = plan
+    return plan
 
 
 class GridSpec:
@@ -80,6 +136,7 @@ class GridSpec:
         # than the equivalent outer fancy indexing on small buffers.
         self._flat = (self._rows[:, None] * width
                       + self._cols[None, :]).ravel()
+        self._stages: Dict[int, Tuple[np.ndarray, ...]] = {}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -140,6 +197,17 @@ class GridSpec:
         """Sampled column indices (length ``grid_width``)."""
         return self._cols.copy()
 
+    def stage_indices(self, channels: int) -> Tuple[np.ndarray, ...]:
+        """Read-only indices of the coarse-to-fine stages
+        :meth:`GridComparator.frames_differ` reads, into a buffer of
+        ``channels`` channels flattened to one dimension (built on first
+        use, shared by every grid of the same geometry)."""
+        plan = self._stages.get(channels)
+        if plan is None:
+            plan = self._stages[channels] = _stage_plan(
+                self.buffer_shape, self._rows, self._cols, channels)
+        return plan
+
     @property
     def coverage_fraction(self) -> float:
         """Sampled pixels as a fraction of the buffer."""
@@ -189,7 +257,6 @@ class GridComparator:
         self.grid = grid
         self._comparisons = 0
         self._mismatches = 0
-        self._last_samples: Optional[np.ndarray] = None
 
     @property
     def comparisons(self) -> int:
@@ -213,18 +280,6 @@ class GridComparator:
         """
         self._comparisons += count
 
-    @property
-    def last_samples(self) -> Optional[np.ndarray]:
-        """Samples of ``current`` from the latest comparison, or None.
-
-        A freshly gathered ``(sample_count, channels)`` array, never a
-        view into the live buffer, so a caller may keep it and pass it
-        back as the next comparison's ``previous``: each frame is then
-        gathered once instead of twice (the content-rate meter does
-        this).
-        """
-        return self._last_samples
-
     def count_changed(self, current: np.ndarray,
                       previous: np.ndarray) -> int:
         """Number of grid sample points whose pixel differs.
@@ -246,10 +301,9 @@ class GridComparator:
 
         ``current`` is a live pixel buffer of the grid's expected shape;
         ``previous`` is either a full buffer of the same shape or its
-        pre-gathered samples: ``(grid_height, grid_width, channels)``
+        pre-gathered ``(grid_height, grid_width, channels)`` samples
         (the storage format of :class:`~repro.core.double_buffer.
-        SampledDoubleBuffer`) or ``(sample_count, channels)`` (the
-        format of :attr:`last_samples`).
+        SampledDoubleBuffer`).
         """
         self.grid._check_shape(current)
         cur, prev = self._sample_pair(current, previous)
@@ -261,12 +315,48 @@ class GridComparator:
             self._mismatches += 1
         return equal
 
+    def frames_differ(self, current: np.ndarray,
+                      previous: np.ndarray) -> bool:
+        """True if two full buffers differ at any grid sample point.
+
+        The verdict and the counters are those of ``not
+        frames_equal(current, previous)``, but the samples are read
+        coarse to fine (:meth:`GridSpec.stage_indices`) and the read
+        stops at the first stage that differs: a frame that changed
+        anywhere much larger than a grid cell is told apart after a few
+        hundred samples, while an unchanged frame still reads every
+        sample of both buffers once.  Samples are compared byte for byte, which
+        is ``==`` for the ``uint8`` frames a framebuffer holds.  This
+        is the content-rate meter's comparison; :meth:`frames_equal`
+        remains the uniform walk that Figure 6 prices.
+        """
+        grid = self.grid
+        grid._check_shape(current)
+        if previous.shape != current.shape:
+            raise MeteringError(
+                f"previous frame shape {previous.shape} does not match "
+                f"the current frame's {current.shape}")
+        cur = current.reshape(-1)
+        prev = previous.reshape(-1)
+        self._comparisons += 1
+        for indices in grid.stage_indices(current.shape[-1]):
+            if self._read(cur, indices) != self._read(prev, indices):
+                self._mismatches += 1
+                return True
+        return False
+
+    @staticmethod
+    def _read(values: np.ndarray, indices: np.ndarray) -> bytes:
+        """The bytes of a flattened buffer at ``indices``: every pixel
+        read :meth:`frames_differ` makes goes through here."""
+        return values[indices].tobytes()
+
     def _sample_pair(self, current: np.ndarray, previous: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray]:
         """Both frames' samples, flattened to ``(n, channels)``.
 
-        Gathers ``current`` (kept as :attr:`last_samples`) and, when
-        ``previous`` is a full buffer, ``previous`` too.
+        Gathers ``current`` and, when ``previous`` is a full buffer,
+        ``previous`` too.
         """
         grid = self.grid
         channels = current.shape[-1]
@@ -276,8 +366,6 @@ class GridComparator:
             # comparison, and the paper's implementation walks grid
             # points uniformly whatever their count (see _gather).
             prev = self._gather(previous)
-        elif previous.shape == (grid.sample_count, channels):
-            prev = previous
         elif previous.shape[:2] == (grid.grid_height, grid.grid_width):
             prev = previous.reshape(-1, channels)
         else:
@@ -285,8 +373,7 @@ class GridComparator:
                 f"previous frame shape {previous.shape} matches neither "
                 f"the buffer {grid.buffer_shape} nor the grid "
                 f"({grid.grid_height}, {grid.grid_width})")
-        self._last_samples = self._gather(current)
-        return self._last_samples, prev
+        return self._gather(current), prev
 
     def _gather(self, pixels: np.ndarray) -> np.ndarray:
         """Sample points of one full buffer, flattened to ``(n, channels)``.

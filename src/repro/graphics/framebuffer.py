@@ -11,11 +11,17 @@ frame it produced becomes the scanned-out buffer, no byte moves),
 :meth:`Framebuffer.write` copies a foreign frame into a buffer the
 framebuffer owns, and :meth:`Framebuffer.write_unchanged` records an
 update proven identical to what is shown.
+
+While an update's listeners run, the frame it replaced is still intact
+(:attr:`Framebuffer.previous_pixels`), as on a double-buffered device:
+a write copies into whichever of two owned buffers is not on screen,
+and a presenter keeps the frame it replaced unmodified until the
+update's listeners have returned.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,11 +48,15 @@ class Framebuffer:
     def __init__(self, width: int, height: int) -> None:
         self.width = ensure_positive_int(width, "width")
         self.height = ensure_positive_int(height, "height")
-        # The buffer :meth:`write` copies into; :attr:`pixels` is
-        # either it or the frame most recently presented.
+        # The buffers :meth:`write` copies into, alternately, so a
+        # write never overwrites the frame it replaces; the second is
+        # allocated by the first write that needs it.  :attr:`pixels`
+        # is one of them or the frame most recently presented.
         self._own = np.zeros((height, width, self.CHANNELS),
                              dtype=np.uint8)
+        self._spare: Optional[np.ndarray] = None
         self._pixels = self._own
+        self._previous = self._own
         self._generation = 0
         self._last_update_time = 0.0
         self._last_write_unchanged = False
@@ -81,6 +91,19 @@ class Framebuffer:
         return self._pixels
 
     @property
+    def previous_pixels(self) -> np.ndarray:
+        """What the framebuffer held before the latest update.
+
+        Valid only while that update's listeners run: after a
+        :meth:`present` or a :meth:`write` it is the array shown before
+        (a write never copies into it), after a :meth:`write_unchanged`
+        the current pixels themselves.  The content-rate meter compares
+        :attr:`pixels` with it instead of keeping a frame of its own.
+        Like :attr:`pixels` it is the real buffer, never a copy.
+        """
+        return self._previous
+
+    @property
     def generation(self) -> int:
         """Monotone counter of completed writes."""
         return self._generation
@@ -100,7 +123,14 @@ class Framebuffer:
         updates go through the compositor, not here.
         """
         self._check_frame(pixels, "write")
+        if self._own is self._pixels:
+            # Copy into the other owned buffer: the frame this write
+            # replaces (possibly ``pixels`` itself) stays intact.
+            if self._spare is None:
+                self._spare = np.zeros_like(self._own)
+            self._own, self._spare = self._spare, self._own
         np.copyto(self._own, pixels)
+        self._previous = self._pixels
         self._pixels = self._own
         self._updated(time, unchanged=False)
 
@@ -111,16 +141,19 @@ class Framebuffer:
         of having it copied: ``frame`` becomes :attr:`pixels` and is
         marked read-only while the framebuffer holds it, so nothing can
         alter a frame on screen.  The producer must not make it
-        writable again until a later update has replaced it.  Apart
-        from the missing copy the update is exactly a :meth:`write` of
-        the same pixels.  ``frame`` must be a C-contiguous ``uint8``
-        array of the framebuffer's shape.
+        writable again until a later update has replaced it, nor
+        mutate the frame this update replaces until the update's
+        listeners have returned: it is :attr:`previous_pixels` while
+        they run.  Apart from the missing copy the update is exactly a
+        :meth:`write` of the same pixels.  ``frame`` must be a
+        C-contiguous ``uint8`` array of the framebuffer's shape.
         """
         self._check_frame(frame, "present")
         if not frame.flags.c_contiguous:
             raise GraphicsError(
                 "framebuffer present needs a C-contiguous frame")
         frame.flags.writeable = False
+        self._previous = self._pixels
         self._pixels = frame
         self._updated(time, unchanged=False)
 
@@ -136,6 +169,7 @@ class Framebuffer:
         frames consult :attr:`last_write_unchanged` to reuse their last
         result instead of recomputing it.
         """
+        self._previous = self._pixels
         self._updated(time, unchanged=True)
 
     def _check_frame(self, pixels: np.ndarray, verb: str) -> None:

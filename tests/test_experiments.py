@@ -109,6 +109,16 @@ class TestFig6:
         result = fig6.run(duration_s=3.0, repeats=5)
         assert "Figure 6" in result.format()
 
+    def test_catalog_accuracy_is_exact(self):
+        # Section 4.1: against ordinary app content (scrolls, scene
+        # changes, video) the 9K meter was "initially 100 %" accurate,
+        # because real app changes dwarf a 10 px grid cell.
+        apps = ("Facebook", "MX Player", "Jelly Splash", "TempleRun",
+                "Cash Slide", "Naver Webtoon")
+        errors = fig6.run_catalog_accuracy(duration_s=15.0, seed=5,
+                                           apps=list(apps))
+        assert errors == {app: 0.0 for app in apps}
+
 
 class TestFig7:
     def test_traces_present_and_boost_helps(self):

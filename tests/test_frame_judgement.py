@@ -2,16 +2,17 @@
 
 The compositor's full-frame compare proves some composites redundant
 and delivers them as ``Framebuffer.write_unchanged``; the content-rate
-meter gathers each judged frame's grid samples once and keeps them as
-the next reference; the OLED tracker re-uses its price on unchanged
-updates.  These tests pin each shortcut to a brute-force reference.
+meter compares each judged frame with the frame it replaced, coarse to
+fine, reading no more than both frames' grid samples and keeping none;
+the OLED tracker re-uses its price on unchanged updates.  These tests
+pin each shortcut to a brute-force reference.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.content_rate import ContentRateMeter, MeterConfig
-from repro.core.grid import GridSpec
+from repro.core.grid import GridComparator, GridSpec
 from repro.graphics.compositor import SurfaceManager
 from repro.graphics.framebuffer import Framebuffer
 from repro.graphics.surface import Surface
@@ -170,6 +171,27 @@ def _drive(framebuffer, frames):
             framebuffer.write(frame, time)
 
 
+def _spy_reads(monkeypatch):
+    """Record the element count of every comparator pixel read: the
+    staged reads of ``frames_differ`` and the whole-grid gathers of
+    ``frames_equal`` / ``count_changed``."""
+    reads = []
+    read, gather = GridComparator._read, GridComparator._gather
+
+    def counting_read(values, indices):
+        reads.append(indices.size)
+        return read(values, indices)
+
+    def counting_gather(self, pixels):
+        reads.append(self.grid.sample_count * pixels.shape[-1])
+        return gather(self, pixels)
+
+    monkeypatch.setattr(GridComparator, "_read",
+                        staticmethod(counting_read))
+    monkeypatch.setattr(GridComparator, "_gather", counting_gather)
+    return reads
+
+
 def _brute_force(frames, shape, config):
     """Two gathers per frame, counted the way the meter accounts."""
     grid = GridSpec.from_sample_count(shape[:2], config.sample_count)
@@ -232,35 +254,62 @@ class TestMeterJudgement:
         _drive(fb, frames)
         assert _observed(meter) == _brute_force(frames, shape, config)
 
-    def test_one_gather_per_judged_frame(self, monkeypatch):
+    def test_frame_changed_everywhere_is_settled_in_the_first_stage(
+            self, monkeypatch):
+        fb = Framebuffer(90, 160)
+        meter = ContentRateMeter(fb, MeterConfig(sample_count=9216))
+        reads = _spy_reads(monkeypatch)
+        fb.write(np.full(fb.shape, 200, dtype=np.uint8), 0.1)
+        first = meter.grid.stage_indices(3)[0]
+        assert first.size == 9 * 16 * 3  # every 8th row and column
+        assert reads == [first.size, first.size]
+        assert meter.total_meaningful == 1
+
+    @pytest.mark.parametrize("sample_count", [60, 333, 40 * 24])
+    def test_no_judgement_reads_more_than_both_grids(self, monkeypatch,
+                                                     sample_count):
         fb = Framebuffer(24, 40)
-        meter = ContentRateMeter(fb, MeterConfig(sample_count=60))
-        gathered = []
-        gather = type(meter.comparator)._gather
-
-        def counting(self, pixels):
-            gathered.append(pixels.shape)
-            return gather(self, pixels)
-
-        monkeypatch.setattr(type(meter.comparator), "_gather", counting)
-        frames = _frame_sequence((40, 24, 3), 20, 4)
+        meter = ContentRateMeter(fb, MeterConfig(sample_count=sample_count))
+        reads = _spy_reads(monkeypatch)
+        per_update = []
+        fb.add_update_listener(
+            lambda time, framebuffer: per_update.append(sum(reads)))
+        frames = _frame_sequence((40, 24, 3), 60, 5)
+        frames += [frames[-1]] * 2  # equal frames, delivered as writes
         for index, frame in enumerate(frames):
             fb.write(frame, 0.05 * (index + 1))
-        assert len(gathered) == len(frames)
+        elements = np.diff([0] + per_update)
+        both_grids = 2 * meter.grid.sample_count * 3
+        assert max(elements) == both_grids  # the equal frames
+        assert all(0 < count <= both_grids for count in elements)
 
-    def test_unchanged_update_gathers_nothing(self, monkeypatch):
+    def test_meter_holds_no_sample_array(self):
         fb = Framebuffer(24, 40)
         meter = ContentRateMeter(fb, MeterConfig(sample_count=60))
-        fb.write(np.full(fb.shape, 4, dtype=np.uint8), 0.1)
+        _drive(fb, _frame_sequence((40, 24, 3), 20, 6))
+        for owner in (meter, meter.comparator):
+            held = [name for name, value in vars(owner).items()
+                    if isinstance(value, (np.ndarray, bytes))]
+            assert held == [], type(owner).__name__
 
-        def forbidden(self, pixels):
-            raise AssertionError("gathered a proven-unchanged frame")
-
-        monkeypatch.setattr(type(meter.comparator), "_gather", forbidden)
-        fb.write_unchanged(0.2)
-        assert meter.total_frames == 2
-        assert meter.comparator.comparisons == 2
-        assert meter.total_meaningful == 1
+    def test_unchanged_update_gathers_nothing(self, monkeypatch):
+        for threshold in (1, 3):
+            fb = Framebuffer(24, 40)
+            meter = ContentRateMeter(
+                fb, MeterConfig(sample_count=60,
+                                min_changed_cells=threshold))
+            with monkeypatch.context() as patch:
+                reads = _spy_reads(patch)
+                fb.write(np.full(fb.shape, 4, dtype=np.uint8), 0.1)
+            assert reads, threshold  # a changed frame is read
+            with monkeypatch.context() as patch:
+                reads = _spy_reads(patch)
+                fb.write_unchanged(0.2)
+            assert reads == [], threshold
+            assert meter.total_frames == 2
+            assert meter.total_meaningful == 1
+            if threshold == 1:
+                assert meter.comparator.comparisons == 2
 
 
 # ----------------------------------------------------------------------

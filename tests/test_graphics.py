@@ -148,6 +148,62 @@ class TestFramebufferPresent:
         assert frame.flags.writeable
 
 
+class TestFramebufferPreviousPixels:
+    """``previous_pixels`` is the frame an update replaced, intact while
+    the update's listeners run."""
+
+    @staticmethod
+    def _record(fb):
+        seen = []
+        fb.add_update_listener(lambda t, f: seen.append(
+            (f.previous_pixels.copy(), f.pixels.copy(),
+             f.previous_pixels is f.pixels)))
+        return seen
+
+    def test_write_after_write_keeps_the_replaced_frame(self, fb):
+        seen = self._record(fb)
+        source = np.full(fb.shape, 1, dtype=np.uint8)
+        fb.write(source, 1.0)
+        source[:] = 2  # the source changes between writes
+        fb.write(source, 2.0)
+        source[:] = 3
+        fb.write(source, 3.0)
+        assert [(int(prev.max()), int(cur.max()), same)
+                for prev, cur, same in seen] == [
+            (0, 1, False), (1, 2, False), (2, 3, False)]
+
+    def test_write_of_its_own_pixels(self, fb):
+        fb.write(np.full(fb.shape, 4, dtype=np.uint8), 1.0)
+        seen = self._record(fb)
+        fb.write(fb.pixels, 2.0)
+        ((prev, cur, same),) = seen
+        assert not same
+        assert (prev == 4).all() and (cur == 4).all()
+
+    def test_present_write_present(self, fb):
+        shown = []
+        fb.add_update_listener(
+            lambda t, f: shown.append(f.previous_pixels))
+        seen = self._record(fb)
+        first = np.full(fb.shape, 5, dtype=np.uint8)
+        second = np.full(fb.shape, 7, dtype=np.uint8)
+        fb.present(first, 1.0)
+        fb.write(np.full(fb.shape, 6, dtype=np.uint8), 2.0)
+        fb.present(second, 3.0)
+        assert shown[1] is first
+        assert [(int(prev.max()), int(cur.max()), same)
+                for prev, cur, same in seen] == [
+            (0, 5, False), (5, 6, False), (6, 7, False)]
+
+    def test_unchanged_update_replaces_nothing(self, fb):
+        fb.write(np.full(fb.shape, 8, dtype=np.uint8), 1.0)
+        seen = self._record(fb)
+        fb.write_unchanged(2.0)
+        ((prev, cur, same),) = seen
+        assert same
+        assert (prev == 8).all()
+
+
 class TestSurface:
     def test_damage_tracking(self):
         s = Surface(8, 8)

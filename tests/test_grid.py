@@ -160,3 +160,68 @@ class TestGridComparator:
         comp.frames_equal(a, b)
         assert comp.comparisons == 2
         assert comp.mismatches == 1
+
+
+class TestFramesDiffer:
+    def _frames(self):
+        rng = np.random.default_rng(0)
+        a = rng.integers(0, 256, size=(100, 100, 3), dtype=np.uint8)
+        return a, a.copy()
+
+    def test_verdicts_and_counters(self):
+        a, b = self._frames()
+        comp = GridComparator(GridSpec((100, 100), 10, 10))
+        assert not comp.frames_differ(a, b)
+        a[6:10, 6:10] += 1  # between grid points
+        assert not comp.frames_differ(a, b)
+        a[95, 95, 2] ^= 0xFF  # the last sample point
+        assert comp.frames_differ(a, b)
+        assert (comp.comparisons, comp.mismatches) == (3, 1)
+
+    def test_sampled_previous_frame_rejected(self):
+        a, b = self._frames()
+        grid = GridSpec((100, 100), 10, 10)
+        comp = GridComparator(grid)
+        with pytest.raises(MeteringError):
+            comp.frames_differ(a, grid.sample(b))
+        assert comp.comparisons == 0
+
+
+class TestStageIndices:
+    def test_stages_partition_the_grid_coarse_first(self):
+        grid = GridSpec((160, 90), 128, 72)
+        stages = grid.stage_indices(1)
+        assert [stage.size for stage in stages] == [
+            16 * 9, 64 * 36, 128 * 72 - 16 * 9 - 64 * 36]
+        assert np.array_equal(np.sort(np.concatenate(stages)),
+                              np.sort(grid._flat))
+        rows, cols = np.divmod(stages[0], 90)
+        assert set(rows) == set(grid.sample_rows[4::8])
+        assert set(cols) == set(grid.sample_cols[4::8])
+
+    def test_channels_are_read_together(self):
+        grid = GridSpec((160, 90), 128, 72)
+        single, triple = grid.stage_indices(1), grid.stage_indices(3)
+        for one, three in zip(single, triple):
+            assert np.array_equal(three.reshape(-1, 3),
+                                  one[:, None] * 3 + np.arange(3))
+
+    def test_shared_read_only_per_geometry(self):
+        first = GridSpec((160, 90), 128, 72).stage_indices(3)
+        again = GridSpec((160, 90), 128, 72).stage_indices(3)
+        assert all(a is b for a, b in zip(first, again))
+        assert not any(stage.flags.writeable for stage in first)
+
+    def test_small_grids_have_fewer_stages(self):
+        assert len(GridSpec((10, 10), 1, 10).stage_indices(3)) == 1
+        assert len(GridSpec((10, 10), 2, 2).stage_indices(3)) == 2
+
+    def test_native_all_pixels_plan_is_not_memoised(self):
+        from repro.core import grid as grid_module
+
+        full = GridSpec.full((1280, 720))
+        plan = full.stage_indices(3)
+        assert sum(stage.size for stage in plan) == 1280 * 720 * 3
+        assert full.stage_indices(3) is plan
+        assert not any(plan is cached
+                       for cached in grid_module._stage_memo.values())

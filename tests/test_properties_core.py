@@ -139,6 +139,52 @@ class TestGridProperties:
         assert np.array_equal(grid.sample_cols, np.arange(shape[1]))
 
 
+@st.composite
+def frame_pairs(draw):
+    """A grid and two frames that differ the way ``kind`` says."""
+    height = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 40))
+    grid_height = draw(st.sampled_from([1, height])
+                       | st.integers(1, height))
+    grid_width = draw(st.sampled_from([1, width]) | st.integers(1, width))
+    grid = GridSpec((height, width), grid_height, grid_width)
+    channels = draw(st.sampled_from([1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    previous = rng.integers(0, 256, size=(height, width, channels),
+                            dtype=np.uint8)
+    current = previous.copy()
+    kind = draw(st.sampled_from(
+        ["equal", "random", "one_sample", "stage_aligned", "off_grid"]))
+    if kind == "random":
+        current = rng.integers(0, 256, size=current.shape, dtype=np.uint8)
+    elif kind in ("one_sample", "stage_aligned"):
+        rows, cols = np.arange(grid_height), np.arange(grid_width)
+        if kind == "stage_aligned":
+            stride, offset = draw(st.sampled_from([(8, 4), (2, 1)]))
+            rows = rows[offset::stride] if offset < grid_height else rows
+            cols = cols[offset::stride] if offset < grid_width else cols
+        row = grid.sample_rows[draw(st.sampled_from(list(rows)))]
+        col = grid.sample_cols[draw(st.sampled_from(list(cols)))]
+        current[row, col, draw(st.integers(0, channels - 1))] ^= \
+            draw(st.integers(1, 255))
+    elif kind == "off_grid":
+        current[rng.integers(0, height), rng.integers(0, width)] ^= 0x5A
+    return grid, current, previous
+
+
+class TestFramesDifferProperties:
+    @given(pairs=st.lists(frame_pairs(), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_frames_differ_is_not_frames_equal(self, pairs):
+        for grid, current, previous in pairs:
+            staged, uniform = GridComparator(grid), GridComparator(grid)
+            for _ in range(2):
+                assert (staged.frames_differ(current, previous)
+                        == (not uniform.frames_equal(current, previous)))
+            assert staged.comparisons == uniform.comparisons == 2
+            assert staged.mismatches == uniform.mismatches
+
+
 # --------------------------------------------------------------------
 # Double buffering
 # --------------------------------------------------------------------
