@@ -13,8 +13,7 @@ reproduction itself (see docs/performance.md).  Shapes asserted:
 
 Wall-clock scaling itself is *not* asserted — this suite runs on
 whatever machine hosts it (often a 1-2 core CI box where the pool
-can't win); the scaling numbers live in ``repro bench`` and its
-committed ``BENCH_baseline.json``, gated separately in CI.  The table
+can't win), so no scaling number is gated anywhere.  The table
 published here records the observed timings for the curious.
 """
 

@@ -14,7 +14,7 @@ An entry's key is::
 
     sha256(canonical_spec_json
            + "\\n" + schema_rev        # repro-session/1 by default
-           + "\\n" + code_salt         # CODE_REV_SALT, bumped manually
+           + "\\n" + code_salt         # CODE_REV_SALT, source hash
            + "\\n" + payload_kind)     # "entry" vs "entry+events"
 
 * ``canonical_spec_json`` is :meth:`SessionSpec.canonical_json` —
@@ -22,9 +22,11 @@ An entry's key is::
   share a key.
 * ``schema_rev`` ties entries to the spec schema: a ``repro-session/2``
   world never reads ``repro-session/1`` answers.
-* ``code_salt`` is the manual escape hatch: any PR that changes
-  simulation *output* for an unchanged spec must bump
-  :data:`CODE_REV_SALT`, which orphans every existing entry at once.
+* ``code_salt`` ties entries to the code that computed them:
+  :data:`CODE_REV_SALT` is the sha256 of every ``*.py`` file in the
+  ``repro`` package, so any source change orphans every existing
+  entry at once.  That over-invalidates (a docstring or CLI edit
+  misses too), but a miss is a recompute, never a stale answer.
 * ``payload_kind`` separates plain summaries from summaries carrying a
   captured telemetry event stream (``run_batch(stream_path=...)``) —
   the two payload shapes must never alias.
@@ -88,12 +90,28 @@ CACHE_SCHEMA = "repro-cache/1"
 #: Index document schema.
 INDEX_SCHEMA = "repro-cache-index/1"
 
-#: Manual code-revision salt.  Bump this in any PR that changes what a
-#: session *computes* for an unchanged spec (new power model terms,
-#: governor behaviour fixes, summary fields, ...), which invalidates
-#: every existing cache entry at once.  Structural spec changes are
-#: covered separately by the ``repro-session`` schema rev.
-CODE_REV_SALT = "2026-10-18.1"
+
+def _source_salt(package_root: pathlib.Path) -> str:
+    """sha256 of every ``*.py`` file under ``package_root``.
+
+    Files are fed in sorted relative-POSIX-path order, each as its
+    path, a NUL, its bytes and a NUL; neither a path nor Python source
+    holds a NUL, so no two file sets share a byte stream.
+    """
+    digest = hashlib.sha256()
+    sources = sorted((path.relative_to(package_root).as_posix(), path)
+                     for path in package_root.rglob("*.py"))
+    for relative, path in sources:
+        digest.update(relative.encode("utf-8") + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+#: Code-revision salt: the hash of the package source, taken at import.
+#: Any edit to a module orphans every existing cache entry; structural
+#: spec changes are covered separately by the ``repro-session`` schema
+#: rev.
+CODE_REV_SALT = _source_salt(pathlib.Path(__file__).resolve().parent)
 
 #: Stat counter names (all plain counters in the metrics registry).
 STAT_NAMES = ("cache.hits", "cache.misses", "cache.stores",

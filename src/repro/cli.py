@@ -11,7 +11,6 @@ Everything the examples do, scriptable::
     python -m repro compare --app "Jelly Splash" --duration 45
     python -m repro compare --app Facebook --workers 4
     python -m repro experiment fig6           # regenerate a paper figure
-    python -m repro bench --json              # performance harness
     python -m repro trace record --app Facebook --out fb.rptrace
     python -m repro trace replay fb.rptrace --governor section
     python -m repro trace info fb.rptrace     # codec + content stats
@@ -247,9 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="summarize a telemetry JSONL stream (or render "
                       "it as Prometheus exposition text)")
     p_stats.add_argument("jsonl", help="stream written by "
-                                       "'run --telemetry' (or, with "
-                                       "--format prom, a repro-bench/1 "
-                                       "JSON document)")
+                                       "'run --telemetry'")
     p_stats.add_argument("--format", default="text",
                          choices=("text", "prom"),
                          help="output format: human-readable summary "
@@ -257,38 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "v0.0.4 through the same renderer the "
                               "live /metrics endpoint uses")
     p_stats.set_defaults(func=cmd_stats)
-
-    p_bench = sub.add_parser(
-        "bench", help="time the hot paths (meter compare, native "
-                      "session, parallel batch) and optionally gate "
-                      "against a baseline")
-    p_bench.add_argument("--json", action="store_true",
-                         help="print the machine-readable bench "
-                              "document instead of the table")
-    p_bench.add_argument("--out", default=None, metavar="PATH",
-                         help="also write the document to PATH "
-                              "(default: not written; 'auto' picks "
-                              "BENCH_<rev>.json)")
-    p_bench.add_argument("--check", default=None, metavar="BASELINE",
-                         help="compare against this baseline document "
-                              "and exit 1 on any regression beyond "
-                              "--threshold (the CI bench gate)")
-    p_bench.add_argument("--threshold", type=float, default=0.2,
-                         help="allowed regression fraction per metric "
-                              "(default 0.2 = 20%%)")
-    p_bench.add_argument("--metric-threshold", action="append",
-                         default=None, metavar="NAME=FRACTION",
-                         help="per-metric override of --threshold "
-                              "(repeatable), e.g. "
-                              "batch32_speedup_x=0.35")
-    p_bench.add_argument("--workers", type=int, default=None,
-                         help="worker count for the batch workload "
-                              "(default: one per CPU)")
-    p_bench.add_argument("--fast", action="store_true",
-                         help="shrunken workloads (harness smoke "
-                              "test; not comparable to full-size "
-                              "baselines)")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_trace = sub.add_parser(
         "trace", help="record, replay, and inspect binary frame "
@@ -950,57 +915,17 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     if args.format == "prom":
-        import json
         import sys
 
         from .telemetry.expose import (
             render_snapshot,
-            snapshot_from_bench,
             snapshot_from_events,
         )
-        # A repro-bench/1 JSON document renders as bench.* gauges;
-        # anything else is treated as a telemetry JSONL stream.
-        document = None
-        try:
-            import pathlib
-            document = json.loads(
-                pathlib.Path(args.jsonl).read_text())
-        except ValueError:
-            document = None
-        if isinstance(document, dict) and \
-                document.get("schema") == "repro-bench/1":
-            snapshot = snapshot_from_bench(document)
-        else:
-            from .telemetry.stats import parse_jsonl
-            snapshot = snapshot_from_events(parse_jsonl(args.jsonl))
+        from .telemetry.stats import parse_jsonl
+        snapshot = snapshot_from_events(parse_jsonl(args.jsonl))
         sys.stdout.write(render_snapshot(snapshot))
         return 0
     print(format_stats(summarize_jsonl(args.jsonl)))
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    import sys
-
-    from .bench import (
-        format_bench, load_bench, main_check, run_bench, write_bench)
-    # Load the baseline *before* the (slow) bench run so a missing or
-    # malformed baseline fails fast.
-    baseline = load_bench(args.check) if args.check else None
-    bench = run_bench(workers=args.workers, fast=args.fast)
-    if args.json:
-        print(json.dumps(bench, indent=2, sort_keys=True))
-    else:
-        print(format_bench(bench, baseline))
-    if args.out:
-        path = write_bench(bench,
-                           None if args.out == "auto" else args.out)
-        print(f"wrote {path}", file=sys.stderr)
-    if args.check:
-        overrides = _parse_metric_thresholds(args.metric_threshold)
-        return main_check(bench, args.check, args.threshold,
-                          metric_thresholds=overrides or None)
     return 0
 
 

@@ -13,7 +13,7 @@ The durability rules implemented here (and documented in
   recovery code can count the damage and move on.
 
 Every writer in the repo that produces an artifact another process may
-read (traces, bench documents, session exports, telemetry JSONL,
+read (traces, session exports, telemetry JSONL,
 service checkpoints/results/health) routes through this module.
 """
 

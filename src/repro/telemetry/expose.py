@@ -519,7 +519,7 @@ def histogram_quantile(edges: Sequence[float],
 
 
 # ----------------------------------------------------------------------
-# Offline snapshot builders (``repro stats --format prom``)
+# Offline snapshot builder (``repro stats --format prom``)
 # ----------------------------------------------------------------------
 
 def snapshot_from_events(events: Sequence[Mapping[str, object]]) -> dict:
@@ -560,24 +560,3 @@ def snapshot_from_events(events: Sequence[Mapping[str, object]]) -> dict:
     registry.gauge("stream.sessions").set(len(sessions))
     return registry.as_dict()
 
-
-def snapshot_from_bench(bench: Mapping[str, object]) -> dict:
-    """Registry snapshot of a ``repro-bench/1`` document: every metric
-    becomes a ``bench.<name>`` gauge, plus ``bench.cpu_count`` and
-    ``bench.workers`` context gauges."""
-    from .metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    metrics = bench.get("metrics")
-    if not isinstance(metrics, Mapping):
-        raise TelemetryError(
-            "bench document has no 'metrics' mapping",
-            context={"subsystem": "telemetry", "component": "expose"})
-    for name, metric in metrics.items():
-        registry.gauge(f"bench.{name}").set(
-            float(metric["value"]))  # type: ignore[index]
-    for key in ("cpu_count", "workers"):
-        if key in bench:
-            registry.gauge(f"bench.{key}").set(
-                float(bench[key]))  # type: ignore[arg-type]
-    return registry.as_dict()

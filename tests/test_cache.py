@@ -8,14 +8,18 @@ concurrent writers racing on one key leave exactly one untorn entry.
 """
 
 import json
+import pathlib
+import shutil
 import threading
 
 import pytest
 
+from repro import cache as cache_module
 from repro.cache import (
     CODE_REV_SALT,
     INDEX_SCHEMA,
     ResultCache,
+    _source_salt,
     cache_key,
     hit_rate,
     read_index,
@@ -162,6 +166,25 @@ class TestInvalidation:
         salted = ResultCache(tmp_path, code_salt=CODE_REV_SALT + ".x")
         run_batch(configs, workers=1, cache=salted)
         assert salted.stats_dict()["hits"] == 0
+
+    def test_governor_edit_in_package_copy_misses(self, tmp_path):
+        package = pathlib.Path(cache_module.__file__).resolve().parent
+        copy = tmp_path / "copy" / "repro"
+        shutil.copytree(package, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert _source_salt(copy) == CODE_REV_SALT
+        governor = copy / "governors" / "predictive.py"
+        governor.write_text(governor.read_text()
+                            + "\nEWMA_ALPHA_EDITED = 0.5\n")
+        edited = _source_salt(copy)
+        assert edited != CODE_REV_SALT
+        assert cache_key(_spec(), code_salt=edited) != cache_key(_spec())
+        configs = self._prime(tmp_path / "cache")
+        stale = ResultCache(tmp_path / "cache", code_salt=edited)
+        run_batch(configs, workers=1, cache=stale)
+        stats = stale.stats_dict()
+        assert stats["hits"] == 0
+        assert stats["misses"] == len(configs)
 
     def _one_entry(self, tmp_path):
         cache = ResultCache(tmp_path)

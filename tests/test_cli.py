@@ -242,22 +242,3 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "comma-separated" in err
-
-    def test_bench_missing_baseline_exits_two(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--fast", "--workers", "1",
-                  "--check", str(tmp_path / "absent.json")])
-        assert excinfo.value.code == 2
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_bench_malformed_baseline_exits_two(self, capsys,
-                                                tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--fast", "--workers", "1",
-                  "--check", str(path)])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "not valid JSON" in err

@@ -6,11 +6,12 @@ buckets, `+Inf` folding, inf/NaN edge cases), the round-trip parser
 used as CI's well-formedness oracle, the merge-equivalence guarantee
 (rendering `merge_snapshots` output equals rendering one registry
 holding the combined values), the quantile estimator `repro top`
-uses, and the offline snapshot builders behind
+uses, and the offline snapshot builder behind
 ``repro stats --format prom``.
 """
 
 import math
+import time
 
 import pytest
 
@@ -27,7 +28,6 @@ from repro.telemetry.expose import (
     render_snapshot,
     sanitize_label_name,
     sanitize_metric_name,
-    snapshot_from_bench,
     snapshot_from_events,
 )
 from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
@@ -180,6 +180,33 @@ class TestRendering:
             "text/plain; version=0.0.4; charset=utf-8"
 
 
+    def test_merged_scrape_render_cost_budget(self):
+        # One service registry plus eight shard registries, larger than
+        # a real merged scrape.  A catastrophe bound (~5 ms measured),
+        # not a regression gate: absolute timings on a shared machine
+        # are too noisy for a tight one.
+        service = _registry(
+            counters=[(f"service.op_{i}", i + 1) for i in range(200)],
+            gauges=[(f"service.level_{i}", i * 0.5) for i in range(200)])
+        edges = [0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0]
+        samples = [0.0007 * (n + 1) for n in range(40)]
+        groups = [(service.as_dict(), None)]
+        for shard in range(8):
+            registry = _registry(
+                counters=[(f"worker.op_{i}", i + shard)
+                          for i in range(50)],
+                histograms=[(f"span.stage_{i}_seconds", edges, samples)
+                            for i in range(12)])
+            groups.append((registry.as_dict(), {"shard": str(shard)}))
+        render_groups(groups)  # warm-up
+        timings = []
+        for _ in range(20):
+            t0 = time.perf_counter()
+            render_groups(groups)
+            timings.append(time.perf_counter() - t0)
+        assert min(timings) < 0.1
+
+
 class TestMergeEquivalence:
     def test_merged_snapshots_render_like_one_registry(self):
         edges = [0.1, 1.0]
@@ -327,18 +354,3 @@ class TestOfflineSnapshots:
             "span.meter.grid_compare_seconds"]
         assert hist["count"] == 1
         parse_exposition(render_snapshot(snapshot))
-
-    def test_bench_document_becomes_gauges(self):
-        bench = {"schema": "repro-bench/1", "cpu_count": 4,
-                 "workers": 2,
-                 "metrics": {"native_session_s": {
-                     "value": 0.5, "unit": "s",
-                     "higher_is_better": False}}}
-        snapshot = snapshot_from_bench(bench)
-        assert snapshot["gauges"]["bench.native_session_s"] == 0.5
-        assert snapshot["gauges"]["bench.cpu_count"] == 4
-        assert snapshot["gauges"]["bench.workers"] == 2
-
-    def test_bench_without_metrics_rejected(self):
-        with pytest.raises(TelemetryError):
-            snapshot_from_bench({"schema": "repro-bench/1"})

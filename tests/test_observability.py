@@ -499,17 +499,3 @@ class TestObservabilityCli:
         assert "repro_stream_events_total" in families
         assert families["repro_stream_sessions"]["samples"][
             ("repro_stream_sessions", ())] == 1
-
-    def test_stats_prom_from_bench_document(self, capsys, tmp_path):
-        bench = tmp_path / "bench.json"
-        bench.write_text(json.dumps({
-            "schema": "repro-bench/1", "cpu_count": 2, "workers": 2,
-            "metrics": {"native_session_s": {
-                "value": 0.5, "unit": "s",
-                "higher_is_better": False}}}))
-        code, out = run_cli(capsys, "stats", str(bench),
-                            "--format", "prom")
-        assert code == 0
-        families = parse_exposition(out)
-        assert families["repro_bench_native_session_s"]["samples"][
-            ("repro_bench_native_session_s", ())] == 0.5

@@ -19,6 +19,7 @@ registry state is visible in workers without an installed package.
 """
 
 import json
+import time
 
 import pytest
 
@@ -215,6 +216,22 @@ class TestSessionSpec:
 
     def test_spec_error_is_configuration_error(self):
         assert issubclass(SpecError, ConfigurationError)
+
+    def test_roundtrip_cost_budget(self):
+        # The batch engine pays one round trip per session it ships to
+        # a worker.  A catastrophe bound (~0.2 ms measured), not a
+        # regression gate: absolute timings on a shared machine are
+        # too noisy for a tight one.
+        config = SessionConfig(app="Facebook", governor="section+boost",
+                               duration_s=30.0, seed=1,
+                               resolution_divisor=1)
+        spec_roundtrip(config)  # warm-up
+        timings = []
+        for _ in range(50):
+            t0 = time.perf_counter()
+            spec_roundtrip(config)
+            timings.append(time.perf_counter() - t0)
+        assert min(timings) < 0.005
 
 
 # ----------------------------------------------------------------------

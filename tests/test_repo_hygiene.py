@@ -106,8 +106,9 @@ class TestDocumentation:
 
 
 class TestSaltGuard:
-    """``scripts/check_salt_bump.py`` watches every package that
-    shapes what a cached session computes."""
+    """The cache salt is derived from the package source, so an edit
+    to any package that shapes what a cached session computes changes
+    it."""
 
     #: Packages whose code changes a session's summary for an
     #: unchanged spec.
@@ -115,21 +116,18 @@ class TestSaltGuard:
                         "display", "governors", "pipeline", "inputs",
                         "traces", "faults")
 
-    @pytest.fixture(scope="class")
-    def watched(self):
-        import importlib.util
-        path = REPO_ROOT / "scripts" / "check_salt_bump.py"
-        spec = importlib.util.spec_from_file_location("check_salt_bump",
-                                                      path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module.WATCHED
+    def test_every_session_package_is_watched(self, tmp_path):
+        import shutil
 
-    def test_every_session_package_is_watched(self, watched):
-        expected = {f"src/repro/{name}/" for name in self.SESSION_PACKAGES}
-        assert expected <= set(watched)
-
-    def test_watched_entries_are_package_directories(self, watched):
-        for entry in watched:
-            assert entry.endswith("/"), entry
-            assert (REPO_ROOT / entry / "__init__.py").is_file(), entry
+        from repro.cache import CODE_REV_SALT, _source_salt
+        package = REPO_ROOT / "src" / "repro"
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert _source_salt(copy) == CODE_REV_SALT
+        for name in self.SESSION_PACKAGES:
+            init = copy / name / "__init__.py"
+            original = init.read_bytes()
+            init.write_bytes(original + b"\n")
+            assert _source_salt(copy) != CODE_REV_SALT, name
+            init.write_bytes(original)
