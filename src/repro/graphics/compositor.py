@@ -21,19 +21,38 @@ is delivered as :meth:`~repro.graphics.framebuffer.Framebuffer
 reuse the judgement instead of repeating it.  A composite whose posts
 all declare unchanged content, over a stack where no surface is
 damaged or moved, is proven identical without the compare: it skips
-the blit as well.
+the composite as well.
 
-The compositor keeps two frame buffers, the one being composited and
-the previous composite, and moves no byte it can prove is already in
-place: each buffer remembers the surface rects it was composited
-under and is zero outside them, so it is re-zeroed only when the stack
-geometry changed; a new frame becomes the previous one by swapping the
-two buffers, not by copying; and the previous composite is *presented*
-to the framebuffer by reference, so a meaningful frame costs one blit
-and no copy.  The framebuffer marks a presented buffer read-only; the
-compositor makes it writable again only once the next present has
-replaced it, when the swap hands it back as scratch, so the array on
-screen is never mutated.
+A stack of one surface covering the screen is *latched*, as a
+hardware composer shows a lone full-screen layer: the surface's own
+buffer is compared and presented to the framebuffer by reference, and
+the frame it replaced goes back to the surface as its next back buffer
+(:meth:`~repro.graphics.surface.Surface.take_back_buffer`).  The
+surface restores that buffer from the presented frame on its first
+pixel read, and a renderer that writes every pixel skips even that
+copy, so a video frame costs its render and no copy.  Every other
+stack is blitted into a scratch buffer, allocated by the first blit.
+The latch and the blit differ only in how the frame is produced; the
+compare, the present and the accounting are shared.
+
+The blit moves no byte it can prove is already in place: each buffer
+remembers the surface rects it was composited under and is zero
+outside them, so the scratch buffer is re-zeroed only when the stack
+geometry changed; a new frame becomes the previous one by reference,
+not by copying; and the frame present replaced becomes the next
+scratch buffer.
+
+Ownership keeps every shown frame intact.  The framebuffer marks a
+presented buffer read-only; the compositor makes it writable again
+only once the next present has replaced it and that update's
+listeners have returned, and then hands it to exactly one owner: the
+latched surface or the blit.  A pending restore's source is always
+the compositor's previous composite, presented and so read-only
+(:meth:`~repro.graphics.surface.Surface.take_back_buffer` refuses any
+other).  Before that buffer is handed out the restore is resolved: by
+the latch's or the blit's read of the surface pixels, or by
+:meth:`SurfaceManager.unregister_surface` for a surface leaving the
+stack.
 
 The ground-truth compare reads a leading slice of each frame first and
 the rest only when that slice agrees, so a frame that differs early
@@ -76,16 +95,21 @@ class SurfaceManager:
         self._framebuffer = framebuffer
         self._surfaces: List[Surface] = []
         self._pending: Dict[str, Surface] = {}
-        self._scratch = np.zeros(framebuffer.shape, dtype=np.uint8)
+        # The blit's buffer, allocated by the first blit: a session
+        # whose stack is one full-screen surface never needs it.
+        self._scratch: Optional[np.ndarray] = None
         self._previous = np.zeros(framebuffer.shape, dtype=np.uint8)
         # The surface rects each buffer was last composited under;
         # outside them the buffer is zero.
         self._scratch_rects: StackRects = ()
         self._previous_rects: StackRects = ()
+        # The rects of a stack that is one full-screen surface.
+        self._screen_rects: StackRects = (
+            (0, 0, framebuffer.height, framebuffer.width),)
         # Ground truth compares frames as words of this dtype, reading
         # the first _head words before the rest.
-        self._word = _word_dtype(self._scratch.nbytes)
-        self._head = (self._scratch.nbytes // self._word.itemsize
+        self._word = _word_dtype(self._previous.nbytes)
+        self._head = (self._previous.nbytes // self._word.itemsize
                       // _HEAD_FRACTION)
         self._compositions = 0
         self._redundant_compositions = 0
@@ -97,10 +121,13 @@ class SurfaceManager:
         self._coherent_rects: Optional[StackRects] = None
         self._pending_dirty = False
         # Framebuffer generation right after this compositor's last
-        # update (None before the first).  While it still matches,
-        # nothing else has written the framebuffer, so its pixels
-        # equal _previous.
-        self._written_generation: Optional[int] = None
+        # update.  While it still matches, nothing else has written the
+        # framebuffer, so its pixels equal _previous.  A framebuffer
+        # never written holds the zeros _previous starts as, so
+        # generation 0 counts as this compositor's; any other is
+        # foreign (None).
+        self._written_generation: Optional[int] = (
+            0 if framebuffer.generation == 0 else None)
 
     # ------------------------------------------------------------------
     # Surface lifecycle
@@ -116,12 +143,18 @@ class SurfaceManager:
         self._coherent_rects = None
 
     def unregister_surface(self, surface: Surface) -> None:
-        """Remove a surface from the stack."""
+        """Remove a surface from the stack.
+
+        A latched surface's pending restore is resolved first: its
+        source is this compositor's previous composite, which the next
+        composite may hand to another surface.
+        """
         try:
             self._surfaces.remove(surface)
         except ValueError:
             raise GraphicsError(
                 f"surface {surface.name!r} is not registered") from None
+        surface.resolve_restore()
         self._pending.pop(surface.name, None)
         self._coherent_rects = None
 
@@ -168,8 +201,9 @@ class SurfaceManager:
         idling on a static screen.  When every pending post declares
         its content unchanged, no surface is damaged and the previous
         full composite is still current, the frame would be
-        byte-identical to what the framebuffer holds: the blit and the
-        compare are skipped and the same accounting is performed.
+        byte-identical to what the framebuffer holds: the composite
+        and the compare are skipped and the same accounting is
+        performed.
         """
         if not self._pending:
             return False
@@ -177,9 +211,9 @@ class SurfaceManager:
             # Every pending post declared its pixels unchanged, no
             # surface mutated since the last full composite (damage
             # cross-check), and _previous still mirrors the
-            # framebuffer: the blit would reproduce the previous frame
-            # byte for byte.  Perform the identical accounting without
-            # the pixel work.
+            # framebuffer: the composite would reproduce the previous
+            # frame byte for byte.  Perform the identical accounting
+            # without the pixel work.
             for surface in self._pending.values():
                 surface.acknowledge_post()
             self._pending.clear()
@@ -195,32 +229,33 @@ class SurfaceManager:
         self._pending_dirty = False
 
         rects = self._stack_rects()
-        if rects != self._scratch_rects:
-            # Zero only when the stack geometry changed: under the same
-            # rects the blits below overwrite every non-zero byte.
-            self._scratch[:] = 0
-            self._scratch_rects = rects
-        for surface, (y0, x0, y1, x1) in zip(self._surfaces, rects):
-            self._scratch[y0:y1, x0:x1] = surface.pixels
+        latched = self._latched_surface(rects)
+        frame = latched.pixels if latched is not None else self._blit(rects)
 
         # Ground truth: the full-frame compare, whatever follows.
-        redundant = self._frames_equal(self._scratch, self._previous)
+        redundant = self._frames_equal(frame, self._previous)
         if redundant and self._framebuffer_current():
             # Proven byte-identical to what the framebuffer holds:
             # record the update without copying a single pixel, so
             # every listener can reuse the judgement.
             self._write_unchanged(time)
         else:
-            # The new frame becomes the previous one by a swap, not a
-            # copy; each buffer keeps the rects it was composited under.
-            self._scratch, self._previous = self._previous, self._scratch
-            self._scratch_rects, self._previous_rects = (
-                self._previous_rects, self._scratch_rects)
+            # The new frame becomes the previous one and goes on screen
+            # by reference; each buffer keeps the rects it was
+            # composited under.
+            replaced, replaced_rects = self._previous, self._previous_rects
+            self._previous, self._previous_rects = frame, rects
             self._written_generation = self._framebuffer.generation + 1
-            self._framebuffer.present(self._previous, time)
-            # The framebuffer no longer shows the old previous frame:
-            # it is scratch again.
-            self._scratch.flags.writeable = True
+            self._framebuffer.present(frame, time)
+            # The frame present replaced is off screen and its
+            # update's listeners have returned: it is a back buffer
+            # again, for the latched surface or for the next blit.
+            replaced.flags.writeable = True
+            if latched is not None:
+                latched.take_back_buffer(replaced)
+            else:
+                self._scratch = replaced
+                self._scratch_rects = replaced_rects
         self._coherent_rects = rects
 
         self._compositions += 1
@@ -229,6 +264,38 @@ class SurfaceManager:
         for listener in self._listeners:
             listener(time, redundant)
         return True
+
+    def _latched_surface(self, rects: StackRects) -> Optional[Surface]:
+        """The surface whose own buffer is the frame, or None to blit.
+
+        A stack of one surface covering the screen is its own
+        composite: its buffer is compared and presented as it is.
+        Reading its pixels resolves a pending restore, so none from
+        _previous is left when _previous is replaced.
+        """
+        if rects == self._screen_rects:
+            return self._surfaces[0]
+        return None
+
+    def _blit(self, rects: StackRects) -> np.ndarray:
+        """Composite the stack into the scratch buffer and return it.
+
+        Reading every surface's pixels resolves its pending restore,
+        so none is left when _previous becomes scratch.
+        """
+        if self._scratch is None:
+            # Fresh zeros are zero outside any rects.
+            self._scratch = np.zeros(self._framebuffer.shape,
+                                     dtype=np.uint8)
+            self._scratch_rects = rects
+        elif rects != self._scratch_rects:
+            # Zero only when the stack geometry changed: under the same
+            # rects the blits below overwrite every non-zero byte.
+            self._scratch[:] = 0
+            self._scratch_rects = rects
+        for surface, (y0, x0, y1, x1) in zip(self._surfaces, rects):
+            self._scratch[y0:y1, x0:x1] = surface.pixels
+        return self._scratch
 
     def _frames_equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         """Byte equality of two frames, compared a word at a time.

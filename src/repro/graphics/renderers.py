@@ -128,8 +128,10 @@ class FullScreenVideoRenderer(Renderer):
         # Expand along x only (1/b of a frame), then copy each block
         # row into its b screen rows through a (rows, b, w, 3) view
         # (surface pixels are C-contiguous, so the reshape is a view).
+        # Every pixel is assigned, so the surface's previous frame
+        # need not be restored first.
         rows = np.repeat(blocks, b, axis=1)[:, :w]
-        px = surface.pixels
+        px = surface.overwrite_pixels()
         full = h // b
         px[:full * b].reshape(full, b, w, 3)[...] = rows[:full, np.newaxis]
         if full * b < h:

@@ -5,11 +5,19 @@ on screen.  Surface Manager composites the registered surfaces (in
 z-order) into the framebuffer at V-Sync.  Most sessions use a single
 full-screen surface; the compositor also supports smaller overlays (a
 status bar, a floating widget) to exercise multi-surface composition.
+
+A lone full-screen surface is *latched*: its buffer goes on screen
+itself, and the surface draws on into a back buffer the compositor
+hands it (:meth:`Surface.take_back_buffer`).  That back buffer holds a
+stale frame until it is restored from the frame just presented, which
+the surface does lazily: the first :attr:`Surface.pixels` read copies
+the presented bytes in, and a caller that writes every pixel takes the
+buffer through :meth:`Surface.overwrite_pixels` and skips the copy.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +65,9 @@ class Surface:
         self.z_order = z_order
         self.name = name
         self._pixels = np.zeros((height, width, 3), dtype=np.uint8)
+        # The read-only presented frame whose bytes the back buffer
+        # must take before it is read, or None when it holds them.
+        self._restore: Optional[np.ndarray] = None
         self._damage_generation = 0
         self._posted_generation = 0
 
@@ -65,8 +76,47 @@ class Surface:
     # ------------------------------------------------------------------
     @property
     def pixels(self) -> np.ndarray:
-        """The mutable pixel array applications draw into."""
+        """The mutable pixel array applications draw into.
+
+        It holds the surface's current content: a pending restore is
+        resolved first.  The array object changes whenever the
+        compositor latches the surface, and the array it replaces goes
+        on screen read-only, so hold the surface, not the array.
+        """
+        self.resolve_restore()
         return self._pixels
+
+    def overwrite_pixels(self) -> np.ndarray:
+        """The pixel array for a caller that writes every pixel.
+
+        Unlike :attr:`pixels` it drops a pending restore instead of
+        resolving it, so the array may hold a stale frame: the caller
+        must assign every pixel before it reads any.
+        """
+        self._restore = None
+        return self._pixels
+
+    def resolve_restore(self) -> None:
+        """Copy a pending restore's frame into the back buffer now."""
+        if self._restore is not None:
+            np.copyto(self._pixels, self._restore)
+            self._restore = None
+
+    def take_back_buffer(self, buffer: np.ndarray) -> None:
+        """Draw on into ``buffer`` once the current pixels went on screen.
+
+        The compositor calls this after presenting the surface's array
+        itself, which left that array read-only, and hands over a
+        writable buffer of the same geometry that no one else uses.
+        Its bytes are stale: the presented frame becomes the pending
+        restore, copied in by the first :attr:`pixels` read.
+        """
+        if self._pixels.flags.writeable:
+            raise GraphicsError(
+                f"surface {self.name!r} can only take a back buffer "
+                f"once its pixels went on screen")
+        self._restore = self._pixels
+        self._pixels = buffer
 
     def mark_damaged(self) -> None:
         """Note that the pixels changed since the last post.
@@ -104,7 +154,7 @@ class Surface:
 
     def fill(self, color: Tuple[int, int, int]) -> None:
         """Flood the surface with one colour and mark it damaged."""
-        fill_rect(self._pixels, 0, self.height, 0, self.width,
+        fill_rect(self.overwrite_pixels(), 0, self.height, 0, self.width,
                   np.asarray(color, dtype=np.uint8))
         self.mark_damaged()
 

@@ -1,12 +1,14 @@
 """The reference path the fast-forward equivalence tests compare with.
 
 :class:`~repro.sim.runner.SessionRunner` skips the ticks
-:mod:`repro.sim.fastforward` proves inert, and the compositor skips the
-blit of composites it proves identical.  Inside :func:`reference_path`
-neither happens: the controller declines every region and the
-coherence check never absorbs a post, so every tick fires off the event
-heap and every composite is blitted and compared in full.  No
-production flag exists for this; it is a test-side patch only.
+:mod:`repro.sim.fastforward` proves inert, the compositor skips the
+composites it proves identical, and it latches a lone full-screen
+surface's buffer instead of blitting it.  Inside :func:`reference_path`
+none of that happens: the controller declines every region, the
+coherence check never absorbs a post and no surface is latched, so
+every tick fires off the event heap and every composite is blitted and
+compared in full.  No production flag exists for this; it is a
+test-side patch only.
 """
 
 import contextlib
@@ -26,4 +28,6 @@ def reference_path() -> Iterator[None]:
                       lambda self, until, budget: 0)
         patch.setattr(SurfaceManager, "_absorbs_pending_posts",
                       lambda self: False)
+        patch.setattr(SurfaceManager, "_latched_surface",
+                      lambda self, rects: None)
         yield

@@ -75,14 +75,33 @@ class TestCompositorJudgement:
         assert (fb.pixels == [5, 6, 7]).all()
         assert sm.redundant_compositions == 1
 
-    def test_first_composite_is_always_a_real_write(self):
-        # An all-black first frame equals the compositor's zeroed
-        # previous buffer (ground truth: redundant), but nothing has
-        # been written by the compositor yet.
+    def test_first_black_composite_is_proven_unchanged(self):
+        # A framebuffer never written holds the zeros the compositor's
+        # previous buffer starts as: an all-black first frame is
+        # redundant and shown as an unchanged update.
         fb, sm, surface, spy = _compositor()
         sm.post(surface)
         sm.on_vsync(1.0)
+        assert (spy.writes, spy.unchanged) == (0, 1)
+        assert fb.last_write_unchanged
+        assert fb.generation == 1
+        assert (fb.pixels == 0).all()
+        assert sm.redundant_compositions == 1
+
+    def test_first_composite_after_a_foreign_write_is_a_real_write(self):
+        # Written before the compositor was built, the framebuffer
+        # shows a frame the compositor never saw.
+        fb = Framebuffer(16, 12)
+        fb.write(np.full(fb.shape, 70, dtype=np.uint8), 0.5)
+        sm = SurfaceManager(fb)
+        surface = Surface(16, 12, name="app")
+        sm.register_surface(surface)
+        spy = WriteSpy(fb)
+        sm.post(surface)
+        sm.on_vsync(1.0)
         assert (spy.writes, spy.unchanged) == (1, 0)
+        assert not fb.last_write_unchanged
+        assert (fb.pixels == 0).all()
         assert sm.redundant_compositions == 1
 
     def test_foreign_write_forces_a_real_write(self):
@@ -126,12 +145,14 @@ class TestCompositorJudgement:
 
     def test_changed_composite_is_a_real_write(self):
         fb, sm, surface, spy = _compositor()
+        # Every level differs from the black screen and from the last.
         for step in range(4):
-            surface.fill((step, step, step))
+            level = step + 1
+            surface.fill((level, level, level))
             sm.post(surface)
             sm.on_vsync(float(step + 1))
         assert (spy.writes, spy.unchanged) == (4, 0)
-        assert (fb.pixels == 3).all()
+        assert (fb.pixels == 4).all()
 
 
 # ----------------------------------------------------------------------

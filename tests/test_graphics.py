@@ -333,6 +333,31 @@ class TestSurfaceManager:
         with pytest.raises(GraphicsError):
             sm.unregister_surface(surface)
 
+    def test_array_held_across_a_latch_is_read_only(self):
+        fb, sm, surface = self._make()
+        surface.fill((9, 8, 7))
+        held = surface.pixels
+        sm.post(surface)
+        sm.on_vsync(1.0)
+        # The held array is the frame on screen now.
+        assert fb.pixels is held
+        with pytest.raises(ValueError):
+            held[0, 0] = 1
+        # The surface draws on into a writable back buffer that holds
+        # the presented bytes.
+        back = surface.pixels
+        assert back is not held
+        assert back.flags.writeable
+        assert back.tobytes() == held.tobytes()
+        back[0, 0] = 1
+        assert (held[0, 0] == [9, 8, 7]).all()
+
+    def test_back_buffer_only_after_the_pixels_went_on_screen(self):
+        # A restore's source must be a frame no one can write.
+        surface = Surface(8, 8)
+        with pytest.raises(GraphicsError):
+            surface.take_back_buffer(np.zeros((8, 8, 3), dtype=np.uint8))
+
     def test_post_acknowledged_on_composition(self):
         fb, sm, surface = self._make()
         surface.fill((9, 9, 9))

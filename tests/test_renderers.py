@@ -242,6 +242,48 @@ class TestDamageHonesty:
         # draws something.
         assert (damaged == 0) == (make is StaticRenderer)
 
+    @pytest.mark.parametrize("size", [(90, 160), (45, 75)],
+                             ids=["90x160", "45x75"])
+    @pytest.mark.parametrize("make", _renderer_family() + [_Fill],
+                             ids=lambda cls: cls.__name__)
+    def test_overwrite_hides_every_stale_byte(self, make, size,
+                                              monkeypatch):
+        # A latched surface draws on into a back buffer holding a
+        # stale frame.  A renderer that takes it through
+        # ``overwrite_pixels`` skips the restore and so must assign
+        # every pixel: the stale bytes, zeros or 0xFF, cannot show.
+        calls = []
+        overwrite = Surface.overwrite_pixels
+
+        def counting_overwrite(surface):
+            calls.append(surface.name)
+            return overwrite(surface)
+
+        monkeypatch.setattr(Surface, "overwrite_pixels",
+                            counting_overwrite)
+        results = []
+        for stale in (0x00, 0xFF):
+            surface = Surface(*size, name="honesty")
+            renderer = make()
+            rng = np.random.default_rng(7)
+            for _ in range(3):
+                renderer.render(surface, rng)
+            # The latch: the surface's array goes on screen read-only
+            # and a stale buffer becomes its back buffer.
+            surface.pixels.flags.writeable = False
+            surface.take_back_buffer(
+                np.full(surface.pixels.shape, stale, dtype=np.uint8))
+            calls.clear()
+            renderer.render(surface, rng)
+            results.append((bool(calls), surface.pixels.tobytes(),
+                            rng.bit_generator.state))
+        (used, first, state), (_, second, other_state) = results
+        if used:
+            assert first == second
+            assert state == other_state
+        if make in (FullScreenVideoRenderer, _Fill):
+            assert used  # the full-frame writers skip the restore
+
     def test_family_covers_every_builtin_renderer(self):
         names = {cls.__name__ for cls in _renderer_family()}
         assert {"StaticRenderer", "ScrollRenderer",

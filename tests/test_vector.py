@@ -9,9 +9,9 @@ advance loop — while sessions the gate refuses (faults, trace replay,
 stateful governors) fire every tick themselves.
 
 The reference path is a test-side patch (:mod:`tests.reference`):
-the controller declines every region and the compositor's coherence
-check never absorbs a post, so every tick fires and every composite
-blits and compares.  The module keeps its historical name so its test
+the controller declines every region, the compositor's coherence
+check never absorbs a post and no surface is latched, so every tick
+fires and every composite blits and compares.  The module keeps its historical name so its test
 ids stay stable.
 """
 
