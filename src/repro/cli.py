@@ -72,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one session")
     _add_session_args(p_run)
+    _add_telemetry_arg(p_run)
     p_run.add_argument("--governor", default="section+boost",
                        choices=governor_names())
     p_run.add_argument("--oled", action="store_true",
@@ -208,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser(
         "export", help="run a session and dump its traces")
     _add_session_args(p_export)
+    _add_telemetry_arg(p_export)
     p_export.add_argument("--governor", default="section+boost",
                           choices=governor_names())
     p_export.add_argument("--out", default="session",
@@ -251,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("text", "prom"),
                          help="output format: human-readable summary "
                               "(default) or Prometheus text exposition "
-                              "v0.0.4 through the same renderer the "
-                              "live /metrics endpoint uses")
+                              "v0.0.4")
     p_stats.set_defaults(func=cmd_stats)
 
     p_trace = sub.add_parser(
@@ -265,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         "record", help="run a session and record its framebuffer "
                        "into a trace file")
     _add_session_args(p_rec)
+    _add_telemetry_arg(p_rec)
     p_rec.add_argument("--governor", default="section+boost",
                        choices=governor_names())
     p_rec.add_argument("--out", required=True, metavar="PATH",
@@ -350,12 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--no-fsync", action="store_true",
                          help="skip per-append journal fsync (faster, "
                               "test-only; crash durability weakens)")
-    p_serve.add_argument("--http", type=int, default=None,
-                         metavar="PORT",
-                         help="serve /metrics, /healthz, /readyz on "
-                              "127.0.0.1:PORT (0 picks an ephemeral "
-                              "port, published in health.json; "
-                              "default: no listener)")
     p_serve.add_argument("--cache", default=None, metavar="DIR",
                          help="content-addressed result cache "
                               "directory: jobs whose spec is already "
@@ -419,23 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trace JSON to write ('-' for stdout)")
     p_texp.set_defaults(func=cmd_trace_export)
 
-    p_top = sub.add_parser(
-        "top", help="live refreshing console over /metrics + "
-                    "health.json (queue depth, breaker, per-shard "
-                    "throughput, span latencies)")
-    p_top.add_argument("--state-dir", required=True, metavar="DIR")
-    p_top.add_argument("--interval", type=float, default=1.0,
-                       metavar="WALL_S",
-                       help="refresh period in seconds (default 1)")
-    p_top.add_argument("--iterations", type=int, default=None,
-                       metavar="N",
-                       help="stop after N refreshes (default: until "
-                            "Ctrl-C)")
-    p_top.add_argument("--no-clear", action="store_true",
-                       help="append frames instead of clearing the "
-                            "screen (for piping)")
-    p_top.set_defaults(func=cmd_top)
-
     p_drain = sub.add_parser(
         "drain", help="ask a running service to finish every queued "
                       "job and exit (or --stop to park and exit now)")
@@ -444,27 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="park in-flight jobs and exit "
                               "immediately instead of draining")
     p_drain.set_defaults(func=cmd_drain)
-
-    p_chaos = sub.add_parser(
-        "chaos", help="run the service chaos harness: kill -9 the "
-                      "service mid-job, corrupt checkpoints, tear the "
-                      "journal; assert full recovery")
-    p_chaos.add_argument("--state-dir", default=None, metavar="DIR",
-                         help="scratch directory (default: a fresh "
-                              "temp dir, removed on success)")
-    p_chaos.add_argument("--jobs", type=int, default=3,
-                         help="spec jobs per scenario (default 3; a "
-                              "trace job is always added)")
-    p_chaos.add_argument("--duration", type=float, default=20.0,
-                         help="sim seconds per job (default 20)")
-    p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument("--scenarios", default=None,
-                         help="comma-separated subset of: "
-                              "kill,corrupt_checkpoint,"
-                              "truncate_journal")
-    p_chaos.add_argument("--json", action="store_true",
-                         help="machine-readable report")
-    p_chaos.set_defaults(func=cmd_chaos)
 
     return parser
 
@@ -485,6 +443,10 @@ def _add_session_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fault-seed", type=int, default=0,
                         help="seed of the fault injector's random "
                              "streams (default 0)")
+
+
+def _add_telemetry_arg(parser: argparse.ArgumentParser) -> None:
+    """``--telemetry``, for the commands whose handlers honour it."""
     parser.add_argument("--telemetry", default=None, metavar="PATH",
                         help="capture a structured event stream "
                              "(rate switches, boosts, spans, ...) to "
@@ -494,7 +456,7 @@ def _add_session_args(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_telemetry(args: argparse.Namespace):
     """The :class:`TelemetryConfig` requested, or None (disabled)."""
-    if getattr(args, "telemetry", None) is None:
+    if args.telemetry is None:
         return None
     return TelemetryConfig(jsonl_path=args.telemetry)
 
@@ -1036,7 +998,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         until_idle=args.until_idle,
         max_runtime_s=args.max_runtime,
         fsync_journal=not args.no_fsync,
-        http_port=args.http,
         cache_dir=args.cache,
     )
     service = SessionService(config)
@@ -1183,13 +1144,6 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_top(args: argparse.Namespace) -> int:
-    from .service.console import run_top
-    return run_top(args.state_dir, interval_s=args.interval,
-                   iterations=args.iterations,
-                   clear=not args.no_clear)
-
-
 def cmd_drain(args: argparse.Namespace) -> int:
     from .service.service import request_drain, request_stop
     if args.stop:
@@ -1199,28 +1153,6 @@ def cmd_drain(args: argparse.Namespace) -> int:
         marker = request_drain(args.state_dir)
         print(f"drain requested -> {marker}")
     return 0
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-
-    from .service.chaos import CHAOS_SCENARIOS, ChaosConfig, run_chaos
-    scenarios = (tuple(args.scenarios.split(","))
-                 if args.scenarios else CHAOS_SCENARIOS)
-    report = run_chaos(ChaosConfig(
-        state_dir=args.state_dir, jobs=args.jobs,
-        duration_s=args.duration, seed=args.seed,
-        scenarios=scenarios))
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for scenario in report["scenarios"]:
-            flag = "ok" if scenario["ok"] else "FAIL"
-            print(f"{scenario['name']:<22} {flag:<5} "
-                  f"{scenario['detail']}")
-        print(f"chaos: {report['passed']}/{report['total']} "
-              f"scenarios passed")
-    return 0 if report["ok"] else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -12,9 +12,7 @@ death:
   when workers keep dying;
 * :mod:`repro.service.service` — the asyncio service itself: sharded
   workers, bounded queues, deadlines, retry with backoff, checkpointed
-  graceful shutdown, health reporting;
-* :mod:`repro.service.chaos` — the chaos harness that kills the
-  service mid-job and asserts recovery.
+  graceful shutdown, health reporting.
 
 Architecture and failure matrix: ``docs/service.md``.
 """

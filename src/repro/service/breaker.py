@@ -68,10 +68,6 @@ class CircuitBreaker:
         """How many times the breaker has opened."""
         return self._trips
 
-    @property
-    def consecutive_failures(self) -> int:
-        return self._consecutive_failures
-
     def _maybe_half_open(self) -> None:
         if (self._state == BreakerState.OPEN
                 and self._clock() - self._opened_at

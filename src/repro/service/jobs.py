@@ -219,11 +219,6 @@ class ServicePaths:
             return []
         return sorted(self.jobs_dir.glob("*.json"))
 
-    def list_results(self) -> List[pathlib.Path]:
-        if not self.results_dir.is_dir():
-            return []
-        return sorted(self.results_dir.glob("*.json"))
-
 
 def load_job_file(path: PathLike) -> JobRequest:
     """Read one ``jobs/<id>.json`` file; ServiceError on any damage."""

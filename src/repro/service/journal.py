@@ -65,11 +65,6 @@ class Journal:
                 context={"subsystem": "service",
                          "path": str(self.path)}) from None
 
-    @property
-    def seq(self) -> int:
-        """Sequence number the next append will carry."""
-        return self._seq
-
     def append(self, op: str, **fields: Any) -> Dict[str, Any]:
         """Append one record; returns it (with ``seq`` filled in)."""
         if self._handle is None:

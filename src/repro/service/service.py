@@ -49,12 +49,10 @@ from ..errors import (
 from ..ioutil import atomic_write_json
 from ..sim.batch import make_failure_record, summarize_result
 from ..sim.runner import SessionRunner, resume_from_file
-from ..telemetry.expose import render_groups
 from ..telemetry.metrics import MetricsRegistry, merge_snapshots
 from ..telemetry.profiling import SPAN_BUCKET_EDGES_S
 from ..telemetry.tracing import mint_trace_id
 from .breaker import BreakerState, CircuitBreaker
-from .http import ObservabilityServer
 from .jobs import (
     JobRequest,
     JobStatus,
@@ -75,12 +73,12 @@ HEALTH_SCHEMA = "repro-health/1"
 class ServiceConfig:
     """Tunables for one :class:`SessionService`.
 
-    Defaults favour correctness over throughput; the chaos harness and
-    tests shrink the periods to provoke races quickly.
+    Defaults favour correctness over throughput; tests shrink the
+    periods to provoke races quickly.
 
     ``slice_s`` is *simulation* seconds advanced per cooperative step;
     ``slice_sleep_s`` is *wall* seconds slept between steps (0 runs
-    flat out — raise it to pace execution, e.g. so a chaos kill lands
+    flat out — raise it to pace execution, e.g. so a drain lands
     mid-job deterministically).  ``checkpoint_period_s`` is simulation
     seconds of progress between checkpoint writes.
     """
@@ -105,14 +103,10 @@ class ServiceConfig:
     until_idle: bool = False
     max_runtime_s: Optional[float] = None
     drain_grace_s: float = 30.0
-    #: Observability listener port: ``None`` disables it, ``0`` binds
-    #: an ephemeral port (published in ``health.json``).
-    http_port: Optional[int] = None
-    http_host: str = "127.0.0.1"
     #: Content-addressed result cache directory (``None`` disables
     #: caching): jobs whose spec is already cached complete without
     #: simulating, finished jobs populate the cache, and the cache's
-    #: ``cache.*`` counters surface on the service /metrics scrape.
+    #: ``cache.*`` counters surface in ``health.json``.
     cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -138,11 +132,6 @@ class ServiceConfig:
                 f"shards ({self.shards}) cannot exceed workers "
                 f"({self.workers})",
                 context={"subsystem": "service", "field": "shards"})
-        if self.http_port is not None and not (
-                0 <= self.http_port <= 65535):
-            raise ServiceError(
-                f"http_port must be 0..65535, got {self.http_port}",
-                context={"subsystem": "service", "field": "http_port"})
 
 
 def backoff_delay_s(attempt: int, base_s: float,
@@ -196,8 +185,8 @@ def next_submit_seq(state_dir: PathLike) -> int:
 @dataclass
 class _Shard:
     """One worker pool: a bounded queue, worker tasks, and the shard's
-    own :class:`~repro.telemetry.metrics.MetricsRegistry` (scrapes
-    merge it with the service registry under a ``shard`` label)."""
+    own :class:`~repro.telemetry.metrics.MetricsRegistry` (merged
+    with the service registry in ``health.json``)."""
 
     index: int
     queue: "asyncio.Queue[JobRequest]"
@@ -232,12 +221,9 @@ class SessionService:
                                                 "bad_lines": 0}
         self._started_at = 0.0
         self._trace_ids: Dict[str, str] = {}
-        self._http: Optional[ObservabilityServer] = None
-        #: ``(host, port)`` of the observability listener once bound.
-        self.http_address: Optional[tuple] = None
         #: Content-addressed result cache (``None``: caching off).
         #: Shares the service metrics registry so its ``cache.*``
-        #: counters ride the same scrape/exposition surface.
+        #: counters ride the same ``health.json`` snapshot.
         self.cache = None
         if config.cache_dir is not None:
             from ..cache import ResultCache
@@ -255,10 +241,6 @@ class SessionService:
     @property
     def in_flight(self) -> int:
         return self._in_flight
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     def _terminal_count(self, *statuses: str) -> int:
         wanted = statuses or JobStatus.TERMINAL
@@ -336,15 +318,6 @@ class SessionService:
                 asyncio.create_task(self._worker(shard))
                 for _ in range(workers_per_shard)]
             self._shards.append(shard)
-        if config.http_port is not None:
-            self._http = ObservabilityServer(
-                metrics_text=self.metrics_text,
-                health_document=self.health_document,
-                ready=lambda: (not self._draining
-                               and self.breaker.state
-                               != BreakerState.OPEN),
-                host=config.http_host, port=config.http_port)
-            self.http_address = await self._http.start()
         last_health = 0.0
         try:
             while True:
@@ -389,9 +362,6 @@ class SessionService:
 
     async def _shutdown(self) -> None:
         self._draining = True
-        if self._http is not None:
-            await self._http.stop()
-            self._http = None
         # Give in-flight jobs one drain-grace window to notice the
         # flag at their next slice boundary and park with a checkpoint
         # — cancelling first would lose the slice progress.
@@ -450,8 +420,8 @@ class SessionService:
                 if result["status"] in durable:
                     durable[result["status"]] += 1
                 recovered += 1
-        # Seed the terminal counters from the durable results so a
-        # scrape sees values monotonic across process generations —
+        # Seed the terminal counters from the durable results so the
+        # health snapshot stays monotonic across process generations —
         # the in-memory registry died with the previous incarnation,
         # but the results directory did not.
         self._count("service.jobs_done", durable[JobStatus.DONE])
@@ -674,8 +644,8 @@ class SessionService:
             runner.advance(runner.now + config.slice_s,
                            max_events=config.max_slice_events)
             shard.metrics.counter("worker.slices").inc()
-            # Wall-clock spans feed only the scrape surface (p50/p95
-            # in `repro top`); nothing deterministic reads them.
+            # Wall-clock spans feed only the health snapshot; nothing
+            # deterministic reads them.
             shard.metrics.histogram(
                 "span.service_slice_seconds",
                 SPAN_BUCKET_EDGES_S).observe(
@@ -858,11 +828,10 @@ class SessionService:
 
         ``written_unix`` and ``health_period_s`` let readers detect
         staleness (a dead service stops heartbeating but the last
-        snapshot stays on disk); ``http`` publishes the observability
-        listener address for scrape clients like ``repro top``.
+        snapshot stays on disk).
         """
         self._refresh_gauges()
-        document: Dict[str, Any] = {
+        return {
             "schema": HEALTH_SCHEMA,
             "state": state or ("draining" if self._draining
                                else "running"),
@@ -873,11 +842,6 @@ class SessionService:
             **self.status_summary(),
             "metrics": self.scrape_snapshot(),
         }
-        if self.http_address is not None and \
-                document["state"] != "stopped":
-            document["http"] = {"host": self.http_address[0],
-                                "port": self.http_address[1]}
-        return document
 
     def scrape_snapshot(self) -> Dict[str, Any]:
         """Service + per-shard registries merged into one snapshot
@@ -885,17 +849,6 @@ class SessionService:
         return merge_snapshots(
             [self.metrics.as_dict()]
             + [shard.metrics.as_dict() for shard in self._shards])
-
-    def metrics_text(self) -> str:
-        """The ``/metrics`` body: the service registry unlabelled plus
-        every shard registry labelled ``shard="N"``, one exposition
-        family per metric name."""
-        self._refresh_gauges()
-        groups: list = [(self.metrics.as_dict(), None)]
-        groups.extend(
-            (shard.metrics.as_dict(), {"shard": str(shard.index)})
-            for shard in self._shards)
-        return render_groups(groups)
 
     def _write_health(self, state: Optional[str] = None) -> None:
         atomic_write_json(self.paths.health_path,

@@ -429,9 +429,8 @@ def _pool_probe() -> bool:
 # ----------------------------------------------------------------------
 
 def run_batch(configs: Sequence[SessionConfig],
-              processes: Optional[int] = None,
-              *,
               workers: Optional[int] = None,
+              *,
               retries: int = 0,
               timeout_s: Optional[float] = None,
               on_error: str = "record",
@@ -455,9 +454,6 @@ def run_batch(configs: Sequence[SessionConfig],
         platforms where no worker process can start.  The serial path
         applies the same isolation semantics as the pool, and a
         parallel run returns summaries byte-identical to a serial one.
-    processes:
-        Legacy alias of ``workers`` (kept positional for old callers);
-        setting both to different values is an error.
     retries:
         Extra attempts per failing session before recording (or
         raising) its failure.  Honoured *inside* the worker, so a retry
@@ -514,16 +510,10 @@ def run_batch(configs: Sequence[SessionConfig],
     configs = list(configs)
     if not configs:
         raise ConfigurationError("run_batch needs at least one config")
-    if (workers is not None and processes is not None
-            and workers != processes):
-        raise ConfigurationError(
-            f"workers ({workers}) and its legacy alias processes "
-            f"({processes}) disagree; set only one")
-    count = workers if workers is not None else processes
-    if count is None:
-        count = min(multiprocessing.cpu_count(), len(configs))
-    if count < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {count}")
+    if workers is None:
+        workers = min(multiprocessing.cpu_count(), len(configs))
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
     if timeout_s is not None and timeout_s <= 0:
@@ -581,11 +571,11 @@ def run_batch(configs: Sequence[SessionConfig],
 
     if to_run:
         try:
-            if count == 1 or len(to_run) == 1:
+            if workers == 1 or len(to_run) == 1:
                 run_payloads = _run_serial(to_run, retries, strict,
                                            capture, _note_run)
             else:
-                run_payloads = _run_pooled(to_run, count, retries,
+                run_payloads = _run_pooled(to_run, workers, retries,
                                            timeout_s, strict, capture,
                                            mp_context, chunksize,
                                            _note_run)

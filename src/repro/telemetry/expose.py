@@ -2,8 +2,8 @@
 
 The :class:`~repro.telemetry.metrics.MetricsRegistry` built in PR 2 is
 post-hoc: its snapshots surface in session summaries after a run ends.
-This module turns any snapshot — live service registry, merged batch
-registry, offline stats — into the Prometheus *text exposition format*
+This module turns any snapshot — merged batch registry, offline
+stats — into the Prometheus *text exposition format*
 version 0.0.4, the line protocol every Prometheus-compatible scraper
 speaks::
 
@@ -21,17 +21,15 @@ Three rules connect the internal naming convention
 * histograms expand to ``_bucket`` (cumulative, with an ``le`` label
   per edge plus ``+Inf``), ``_sum`` and ``_count`` series.
 
-Rendering is **pure**: snapshot in, text out, no clocks, no I/O —
-which is what lets the live ``/metrics`` endpoint
-(:mod:`repro.service.http`) serve scrapes without perturbing the
-deterministic simulation underneath, and lets ``repro stats --format
-prom`` reuse the identical code path offline.
+Rendering is **pure**: snapshot in, text out, no clocks, no I/O, so
+``repro stats --format prom`` renders an offline stream without
+touching the deterministic simulation that wrote it.
 
-:func:`parse_exposition` is the inverse used by tests and the chaos
-harness: it parses exposition text back into typed families and
-*validates* it (histogram buckets must be cumulative, ``+Inf`` must
-equal ``_count``, names must be legal), so "the endpoint emits
-well-formed output" is an executable assertion, not a hope.
+:func:`parse_exposition` is the inverse used by tests: it parses
+exposition text back into typed families and *validates* it (histogram
+buckets must be cumulative, ``+Inf`` must equal ``_count``, names must
+be legal), so "the renderer emits well-formed output" is an executable
+assertion, not a hope.
 """
 
 from __future__ import annotations
@@ -181,10 +179,10 @@ def render_groups(groups: Sequence[Tuple[Mapping[str, object],
     the :meth:`~repro.telemetry.metrics.MetricsRegistry.as_dict` shape,
     each label set applied to every series of that snapshot.  Samples
     sharing a metric name across groups are folded under a single
-    ``# TYPE`` block (the format forbids repeating one), which is how
-    the live endpoint merges per-worker registries on scrape: the
-    service registry renders unlabelled, each shard's registry renders
-    with a ``shard="N"`` label, one family per name.
+    ``# TYPE`` block (the format forbids repeating one), so several
+    registries render as one document: one unlabelled, each of the
+    others with its own label (say ``shard="N"``), one family per
+    name.
 
     Raises :class:`~repro.errors.TelemetryError` when the same name is
     used with different instrument types or when two samples collide
@@ -255,13 +253,6 @@ def render_snapshot(snapshot: Mapping[str, object],
     """Render one registry snapshot (one label set) to exposition
     text.  Pure convenience over :func:`render_groups`."""
     return render_groups([(snapshot, labels)], prefix=prefix)
-
-
-def render_registry(registry, labels: Optional[Mapping[str, str]] = None,
-                    prefix: str = DEFAULT_PREFIX) -> str:
-    """Render a live :class:`~repro.telemetry.metrics.MetricsRegistry`."""
-    return render_snapshot(registry.as_dict(), labels=labels,
-                           prefix=prefix)
 
 
 # ----------------------------------------------------------------------
@@ -531,8 +522,8 @@ def snapshot_from_events(events: Sequence[Mapping[str, object]]) -> dict:
     gauge,
     fault sites ``stream.faults.<site>`` counters, and span durations
     are re-bucketed into the *same* ``span.<name>_seconds`` histograms
-    the live hub maintains — so an offline stream and a live scrape
-    render identical span families.
+    the live hub maintains — so an offline stream and the hub's own
+    registry render identical span families.
     """
     from .metrics import MetricsRegistry
     from .profiling import SPAN_BUCKET_EDGES_S

@@ -105,7 +105,7 @@ class TestBatch:
                 for seed in range(1, n + 1)]
 
     def test_summaries_in_order(self):
-        summaries = run_batch(self._configs(), processes=1)
+        summaries = run_batch(self._configs(), workers=1)
         assert len(summaries) == 3
         assert [s["seed"] for s in summaries] == [1, 2, 3]
         for summary in summaries:
@@ -114,8 +114,8 @@ class TestBatch:
 
     def test_parallel_matches_serial(self):
         configs = self._configs(2)
-        serial = run_batch(configs, processes=1)
-        parallel = run_batch(configs, processes=2)
+        serial = run_batch(configs, workers=1)
+        parallel = run_batch(configs, workers=2)
         for a, b in zip(serial, parallel):
             assert a["mean_power_mw"] == pytest.approx(
                 b["mean_power_mw"])
@@ -135,4 +135,4 @@ class TestBatch:
 
     def test_invalid_processes_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_batch(self._configs(1), processes=0)
+            run_batch(self._configs(1), workers=0)

@@ -80,7 +80,7 @@ class TestBatchIsolation:
     @pytest.mark.parametrize("processes", [1, 2])
     def test_one_bad_config_isolated(self, processes):
         configs = _configs(bad_index=1)
-        results = run_batch(configs, processes=processes)
+        results = run_batch(configs, workers=processes)
         assert len(results) == 3
         assert not is_failure_record(results[0])
         assert is_failure_record(results[1])
@@ -95,25 +95,25 @@ class TestBatchIsolation:
         assert record["attempts"] == 1
 
     def test_all_good_batch_has_no_failures(self):
-        results = run_batch(_configs(), processes=1)
+        results = run_batch(_configs(), workers=1)
         summary = batch_failure_summary(results)
         assert summary["failed"] == 0
         assert summary["succeeded"] == 3
 
     def test_retries_counted_in_record(self):
         configs = _configs(bad_index=0, n=1)
-        results = run_batch(configs, processes=1, retries=2)
+        results = run_batch(configs, workers=1, retries=2)
         assert results[0]["attempts"] == 3
 
     def test_on_error_raise_propagates(self):
         configs = _configs(bad_index=1)
         with pytest.raises(WorkloadError):
-            run_batch(configs, processes=1, on_error="raise")
+            run_batch(configs, workers=1, on_error="raise")
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_serial_and_pooled_agree(self, processes):
         configs = _configs(bad_index=2, duration_s=4.0)
-        results = run_batch(configs, processes=processes)
+        results = run_batch(configs, workers=processes)
         record = results[2]
         assert is_failure_record(record)
         assert record["error_type"] == "WorkloadError"
@@ -122,8 +122,8 @@ class TestBatchIsolation:
 
     def test_summaries_match_serial_vs_pooled(self):
         configs = _configs(duration_s=4.0)
-        serial = run_batch(configs, processes=1)
-        pooled = run_batch(configs, processes=2)
+        serial = run_batch(configs, workers=1)
+        pooled = run_batch(configs, workers=2)
         assert serial == pooled
 
 
@@ -134,7 +134,7 @@ class TestBatchValidation:
 
     def test_bad_processes_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_batch(_configs(n=1), processes=0)
+            run_batch(_configs(n=1), workers=0)
 
     def test_bad_retries_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -5,16 +5,13 @@ Three layers:
 * the batch pool — a worker SIGKILLed mid-batch costs exactly its own
   config; the survivors' results stay byte-identical to a serial run
   (the merge is deterministic even through a crash);
-* the damage helpers in `repro.service.chaos` — every corruption mode
-  actually renders a checkpoint unusable, and a torn journal still
-  reads;
+* checkpoint damage — a torn write, bit rot and a forged state digest
+  each render a checkpoint unusable (``CheckpointError``);
 * an in-process service recovery — a corrupted checkpoint is detected
   (``checkpoint_invalid``), discarded, and the job restarted from
   scratch with a byte-identical summary.
 
-The full subprocess chaos campaign (SIGKILL of a live ``repro serve``)
-runs as ``repro chaos`` in CI's service-smoke job; these tests keep
-the pieces honest at unit speed.
+A torn journal tail is covered by ``test_service.py::TestJournal``.
 
 Process-pool tests use ``fork`` so the parent's monkeypatches reach
 the workers (spawn re-imports the module pristine).
@@ -22,27 +19,20 @@ the workers (spawn re-imports the module pristine).
 
 import json
 import os
+import random
 import signal
 
 import pytest
 
 import repro.sim.batch as batch
-from repro.errors import CheckpointError, ServiceError
-from repro.ioutil import read_jsonl
+from repro.errors import CheckpointError
 from repro.pipeline.spec import SessionSpec
 from repro.service import (
     JobRequest,
     JobStatus,
-    Journal,
     ServicePaths,
     read_journal,
     submit_job,
-)
-from repro.service.chaos import (
-    CHAOS_SCENARIOS,
-    ChaosConfig,
-    corrupt_checkpoint,
-    truncate_journal_tail,
 )
 from repro.service.jobs import load_result
 from repro.sim.batch import (
@@ -58,6 +48,28 @@ def _configs(n=4, duration_s=2.0):
     return [SessionConfig(app="Jelly Splash", governor="section+boost",
                           duration_s=duration_s, seed=i)
             for i in range(n)]
+
+
+def _corrupt_checkpoint(path, mode):
+    """Damage a checkpoint file in place: ``truncate`` keeps the first
+    half of the bytes (torn write), ``garbage`` overwrites 32 middle
+    bytes with seeded noise (bit rot), ``digest`` rewrites the JSON
+    with a flipped state digest (structurally valid, semantically a
+    lie)."""
+    data = path.read_bytes()
+    if mode == "truncate":
+        path.write_bytes(data[:len(data) // 2])
+    elif mode == "garbage":
+        rng = random.Random(3)
+        noise = bytes(rng.randrange(256) for _ in range(32))
+        middle = len(data) // 2
+        path.write_bytes(data[:middle] + noise + data[middle + 32:])
+    else:
+        document = json.loads(data)
+        digest = document["digest"]
+        document["digest"] = digest[:-8] + (
+            "f" * 8 if digest.endswith("0" * 8) else "0" * 8)
+        path.write_text(json.dumps(document))
 
 
 _REAL_PAYLOAD = batch._session_payload
@@ -110,7 +122,7 @@ class TestDamageHelpers:
                              ["truncate", "garbage", "digest"])
     def test_every_corruption_mode_is_detected(self, tmp_path, mode):
         path = self._checkpoint(tmp_path)
-        corrupt_checkpoint(path, mode, seed=3)
+        _corrupt_checkpoint(path, mode)
         if mode == "digest":
             # Structurally valid JSON: the lie only surfaces when the
             # replayed state digest is compared.
@@ -120,42 +132,6 @@ class TestDamageHelpers:
         else:
             with pytest.raises(CheckpointError):
                 load_checkpoint(path)
-
-    def test_unknown_corruption_mode_rejected(self, tmp_path):
-        path = self._checkpoint(tmp_path)
-        with pytest.raises(ServiceError):
-            corrupt_checkpoint(path, "gamma_rays")
-
-    def test_truncate_journal_tail_tears_last_record(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = Journal(path, fsync=False)
-        journal.append("service_start")
-        journal.append("job_ingested", job_id="j1")
-        journal.close()
-        assert truncate_journal_tail(path)
-        raw = read_jsonl(path)
-        assert raw.damaged
-        assert [r["op"] for r in raw.records] == ["service_start"]
-
-    def test_truncate_missing_journal_is_noop(self, tmp_path):
-        assert not truncate_journal_tail(tmp_path / "absent.jsonl")
-
-
-class TestChaosConfigValidation:
-    def test_defaults_cover_all_scenarios(self):
-        assert ChaosConfig().scenarios == CHAOS_SCENARIOS
-
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(ServiceError):
-            ChaosConfig(scenarios=("kill", "meteor"))
-
-    def test_empty_scenarios_rejected(self):
-        with pytest.raises(ServiceError):
-            ChaosConfig(scenarios=())
-
-    def test_bad_job_count_rejected(self):
-        with pytest.raises(ServiceError):
-            ChaosConfig(jobs=0)
 
 
 class TestServiceRecoversFromCorruptCheckpoint:
@@ -179,8 +155,7 @@ class TestServiceRecoversFromCorruptCheckpoint:
         runner.advance(1.0)
         runner.save_checkpoint(paths.checkpoint_path("hurt"),
                                job_id="hurt")
-        corrupt_checkpoint(paths.checkpoint_path("hurt"), "garbage",
-                           seed=1)
+        _corrupt_checkpoint(paths.checkpoint_path("hurt"), "garbage")
 
         service = SessionService(ServiceConfig(
             state_dir=str(tmp_path), workers=1, slice_sleep_s=0.0,

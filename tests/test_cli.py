@@ -86,6 +86,16 @@ class TestCompare:
         assert "section" in out
         assert "saved mW" in out
 
+    def test_telemetry_flag_rejected(self, capsys, tmp_path):
+        # compare never captured a stream; the flag is not offered.
+        stream = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--app", "Facebook", "--duration", "2",
+                  "--telemetry", str(stream)])
+        assert excinfo.value.code == 2
+        assert not stream.exists()
+        capsys.readouterr()
+
 
 class TestExperiment:
     def test_listing(self, capsys):

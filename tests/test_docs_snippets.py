@@ -75,7 +75,7 @@ class TestApiTourSnippets:
         summaries = run_batch(
             [SessionConfig(app="Facebook", governor="fixed",
                            duration_s=4.0, seed=s) for s in range(2)],
-            processes=1)
+            workers=1)
         assert len(summaries) == 2
 
     def test_analysis_imports(self):

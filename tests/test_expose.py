@@ -5,8 +5,8 @@ Covers the naming/escaping rules, histogram expansion (cumulative
 buckets, `+Inf` folding, inf/NaN edge cases), the round-trip parser
 used as CI's well-formedness oracle, the merge-equivalence guarantee
 (rendering `merge_snapshots` output equals rendering one registry
-holding the combined values), the quantile estimator `repro top`
-uses, and the offline snapshot builder behind
+holding the combined values), the histogram quantile estimator, and
+the offline snapshot builder behind
 ``repro stats --format prom``.
 """
 
@@ -24,7 +24,6 @@ from repro.telemetry.expose import (
     histogram_quantile,
     parse_exposition,
     render_groups,
-    render_registry,
     render_snapshot,
     sanitize_label_name,
     sanitize_metric_name,
@@ -98,20 +97,21 @@ class TestFormatValue:
 
 class TestRendering:
     def test_counter_gains_total_suffix(self):
-        text = render_registry(_registry(counters=[("panel.vsyncs", 7)]))
+        text = render_snapshot(
+            _registry(counters=[("panel.vsyncs", 7)]).as_dict())
         assert "# TYPE repro_panel_vsyncs_total counter" in text
         assert "repro_panel_vsyncs_total 7" in text
 
     def test_gauge_and_help_lines(self):
-        text = render_registry(
-            _registry(gauges=[("sim.duration_s", 30.0)]))
+        text = render_snapshot(
+            _registry(gauges=[("sim.duration_s", 30.0)]).as_dict())
         assert "# HELP repro_sim_duration_s repro metric " \
                "sim.duration_s" in text
         assert "# TYPE repro_sim_duration_s gauge" in text
         assert "repro_sim_duration_s 30" in text
 
     def test_empty_registry_renders_empty_document(self):
-        assert render_registry(MetricsRegistry()) == ""
+        assert render_snapshot(MetricsRegistry().as_dict()) == ""
         assert parse_exposition("") == {}
 
     def test_labels_rendered_sorted_and_escaped(self):
@@ -122,9 +122,9 @@ class TestRendering:
                 '{alpha="0",zeta="x\\"y"} 1') in text
 
     def test_histogram_buckets_are_cumulative(self):
-        text = render_registry(_registry(histograms=[
+        text = render_snapshot(_registry(histograms=[
             ("span.stage_seconds", [0.1, 1.0], [0.05, 0.05, 0.5, 5.0]),
-        ]))
+        ]).as_dict())
         assert 'repro_span_stage_seconds_bucket{le="0.1"} 2' in text
         assert 'repro_span_stage_seconds_bucket{le="1"} 3' in text
         assert 'repro_span_stage_seconds_bucket{le="+Inf"} 4' in text
@@ -134,16 +134,16 @@ class TestRendering:
     def test_explicit_inf_edge_folds_into_terminal_bucket(self):
         # A snapshot whose last edge is already +Inf must not emit two
         # +Inf buckets (the format forbids duplicate series).
-        text = render_registry(_registry(histograms=[
+        text = render_snapshot(_registry(histograms=[
             ("a.h", [1.0, math.inf], [0.5, 2.0]),
-        ]))
+        ]).as_dict())
         assert text.count('le="+Inf"') == 1
         parse_exposition(text)  # and the result is well-formed
 
     def test_nonfinite_gauge_values_render_and_parse(self):
         registry = _registry(gauges=[("a.up", math.inf),
                                      ("a.down", -math.inf)])
-        families = parse_exposition(render_registry(registry))
+        families = parse_exposition(render_snapshot(registry.as_dict()))
         samples = families["repro_a_up"]["samples"]
         assert samples[("repro_a_up", ())] == math.inf
         samples = families["repro_a_down"]["samples"]
@@ -151,7 +151,7 @@ class TestRendering:
 
     def test_nan_gauge_round_trips(self):
         registry = _registry(gauges=[("a.weird", math.nan)])
-        families = parse_exposition(render_registry(registry))
+        families = parse_exposition(render_snapshot(registry.as_dict()))
         assert math.isnan(
             families["repro_a_weird"]["samples"][("repro_a_weird", ())])
 
@@ -246,7 +246,7 @@ class TestParser:
         registry = _registry(
             counters=[("a.n", 12)], gauges=[("a.g", 2.5)],
             histograms=[("span.x_seconds", [0.5], [0.1, 0.9])])
-        families = parse_exposition(render_registry(registry))
+        families = parse_exposition(render_snapshot(registry.as_dict()))
         assert families["repro_a_n_total"]["type"] == "counter"
         assert families["repro_a_g"]["type"] == "gauge"
         hist = families["repro_span_x_seconds"]

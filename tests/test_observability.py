@@ -1,17 +1,14 @@
-"""Tests for the in-flight observability plane.
+"""Tests for the service's observability plane.
 
-Covers the asyncio scrape listener (`repro.service.http`) — unit-level
-routing plus a real in-process service answering `/metrics` with
-parseable v0.0.4 text while jobs run — job-scoped tracing
-(`repro.telemetry.tracing`): deterministic trace IDs, journal →
-Chrome-trace folding across simulated `kill -9` generations,
-checkpoint trace-ID round trips; heartbeat staleness detection; the
-`repro top` console; and the CLI surfaces (`trace-export`, `top`,
-`stats --format prom`, `submit` trace echo, `status` staleness flag).
+Covers job-scoped tracing (`repro.telemetry.tracing`): deterministic
+trace IDs, journal → Chrome-trace folding across simulated `kill -9`
+generations, checkpoint trace-ID round trips, trace and wall stamps on
+a live service's journal records; heartbeat staleness detection; and
+the CLI surfaces (`trace-export`, `stats --format prom`, `submit` trace
+echo, `status` staleness flag).
 """
 
 import asyncio
-import io
 import json
 import time
 
@@ -27,8 +24,6 @@ from repro.service import (
     SessionService,
     submit_job,
 )
-from repro.service.console import gather_top, render_top, run_top
-from repro.service.http import ObservabilityServer, fetch
 from repro.service.service import _health_staleness, service_status
 from repro.sim.runner import SessionRunner, resume_runner
 from repro.sim.session import SessionConfig
@@ -191,128 +186,7 @@ class TestJournalTraceExport:
         assert document["displayTimeUnit"] == "ms"
 
 
-# ----------------------------------------------------------------------
-# Scrape listener
-# ----------------------------------------------------------------------
-
-class TestObservabilityServer:
-    def _server(self, ready=True, metrics="repro_x_total 1\n"):
-        return ObservabilityServer(
-            metrics_text=lambda: metrics,
-            health_document=lambda: {"state": "running"},
-            ready=lambda: ready)
-
-    def test_endpoints(self):
-        async def scenario():
-            server = self._server()
-            host, port = await server.start()
-            try:
-                status, headers, body = await fetch(
-                    host, port, "/metrics")
-                assert status == 200
-                assert headers["content-type"] == \
-                    "text/plain; version=0.0.4; charset=utf-8"
-                assert "repro_x_total 1" in body
-                status, _, body = await fetch(host, port, "/healthz")
-                assert status == 200
-                assert json.loads(body)["state"] == "running"
-                status, _, body = await fetch(host, port, "/readyz")
-                assert status == 200
-                assert json.loads(body) == {"ready": True}
-                status, _, _ = await fetch(host, port, "/nope")
-                assert status == 404
-            finally:
-                await server.stop()
-        asyncio.run(scenario())
-
-    def test_not_ready_is_503(self):
-        async def scenario():
-            server = self._server(ready=False)
-            host, port = await server.start()
-            try:
-                status, _, body = await fetch(host, port, "/readyz")
-                assert status == 503
-                assert json.loads(body) == {"ready": False}
-            finally:
-                await server.stop()
-        asyncio.run(scenario())
-
-    def test_non_get_rejected(self):
-        response = self._server()._route("POST", "/metrics")
-        assert response.startswith(b"HTTP/1.0 405")
-
-    def test_handler_exception_is_500(self):
-        def explode():
-            raise RuntimeError("boom")
-
-        async def scenario():
-            server = ObservabilityServer(
-                metrics_text=explode,
-                health_document=lambda: {}, ready=lambda: True)
-            host, port = await server.start()
-            try:
-                status, _, body = await fetch(host, port, "/metrics")
-            finally:
-                await server.stop()
-            return status, body
-
-        status, body = asyncio.run(scenario())
-        assert status == 500
-        assert "boom" in body
-
-    def test_query_string_ignored(self):
-        response = self._server()._route("GET", "/metrics?x=1")
-        assert response.startswith(b"HTTP/1.0 200")
-
-
 class TestLiveServiceScrape:
-    def test_metrics_scrape_while_jobs_in_flight(self, tmp_path):
-        for index in range(2):
-            _submit(tmp_path, f"job-{index}", seq=index)
-
-        async def scenario():
-            service = SessionService(ServiceConfig(
-                state_dir=str(tmp_path), workers=2,
-                slice_sleep_s=0.005, fsync_journal=False,
-                until_idle=True, max_runtime_s=120.0, http_port=0))
-            task = asyncio.ensure_future(service.serve())
-            while service.http_address is None:
-                assert not task.done(), task.result()
-                await asyncio.sleep(0.01)
-            host, port = service.http_address
-            status, headers, body = await fetch(host, port, "/metrics")
-            ready_status, _, _ = await fetch(host, port, "/readyz")
-            health_status, _, health_body = await fetch(
-                host, port, "/healthz")
-            await task
-            return (status, headers, body, ready_status,
-                    health_status, health_body, port)
-
-        (status, headers, body, ready_status,
-         health_status, health_body, port) = asyncio.run(scenario())
-        assert status == 200
-        assert headers["content-type"] == \
-            "text/plain; version=0.0.4; charset=utf-8"
-        families = parse_exposition(body)  # well-formed v0.0.4
-        assert "repro_service_queue_depth" in families
-        assert ready_status == 200
-        assert health_status == 200
-        health = json.loads(health_body)
-        assert health["state"] == "running"
-        assert health["http"]["port"] == port  # address published
-
-    def test_final_health_omits_listener_address(self, tmp_path):
-        _submit(tmp_path, "only-job")
-        service = SessionService(ServiceConfig(
-            state_dir=str(tmp_path), workers=1, slice_sleep_s=0.0,
-            fsync_journal=False, until_idle=True,
-            max_runtime_s=120.0, http_port=0))
-        asyncio.run(service.serve())
-        health = json.loads(
-            ServicePaths(tmp_path).health_path.read_text())
-        assert health["state"] == "stopped"
-        assert "http" not in health
-
     def test_journal_records_carry_trace_and_wall(self, tmp_path):
         from repro.service import read_journal
         _submit(tmp_path, "traced-job")
@@ -371,60 +245,6 @@ class TestHealthStaleness:
 
 
 # ----------------------------------------------------------------------
-# repro top
-# ----------------------------------------------------------------------
-
-class TestTopConsole:
-    def test_stopped_service_frame(self, tmp_path):
-        _submit(tmp_path, "done-job")
-        service = SessionService(ServiceConfig(
-            state_dir=str(tmp_path), workers=1, slice_sleep_s=0.0,
-            fsync_journal=False, until_idle=True, max_runtime_s=120.0))
-        asyncio.run(service.serve())
-        snapshot = gather_top(tmp_path)
-        assert snapshot["metrics"] is None
-        assert snapshot["scrape_error"] == "service is stopped"
-        frame = render_top(snapshot)
-        assert "repro top" in frame
-        assert "1 done" in frame
-        assert "service is stopped" in frame
-
-    def test_render_span_and_shard_tables(self):
-        metrics = parse_exposition(
-            "# TYPE repro_worker_jobs_dispatched_total counter\n"
-            'repro_worker_jobs_dispatched_total{shard="0"} 2\n'
-            "# TYPE repro_span_service_slice_seconds histogram\n"
-            'repro_span_service_slice_seconds_bucket'
-            '{le="0.001",shard="0"} 8\n'
-            'repro_span_service_slice_seconds_bucket'
-            '{le="+Inf",shard="0"} 10\n'
-            'repro_span_service_slice_seconds_sum{shard="0"} 0.05\n'
-            'repro_span_service_slice_seconds_count{shard="0"} 10\n')
-        frame = render_top({
-            "status": {"state_dir": "x",
-                       "counts": {"done": 0, "failed": 0,
-                                  "rejected": 0, "parked": 0,
-                                  "pending": 1}},
-            "health": {"state": "running", "ready": True,
-                       "queue_depth": 1, "in_flight": 1,
-                       "jobs": {"running": 1},
-                       "breaker": {"state": "closed"}},
-            "metrics": metrics, "scrape_error": None})
-        assert "per-shard throughput:" in frame
-        assert "span latency (ms):" in frame
-        assert "service_slice_seconds" in frame
-
-    def test_run_top_iterations_and_interval_guard(self, tmp_path):
-        ServicePaths(tmp_path).ensure()
-        out = io.StringIO()
-        assert run_top(tmp_path, interval_s=0.01, iterations=2,
-                       clear=False, out=out) == 0
-        assert out.getvalue().count("repro top") == 2
-        with pytest.raises(ServiceError):
-            run_top(tmp_path, interval_s=0.0, iterations=1)
-
-
-# ----------------------------------------------------------------------
 # CLI surfaces
 # ----------------------------------------------------------------------
 
@@ -464,15 +284,6 @@ class TestObservabilityCli:
             main(["trace-export", "--out", "-"])
         assert excinfo.value.code == 2
         capsys.readouterr()
-
-    def test_top_single_frame(self, capsys, tmp_path):
-        state_dir = self._drained_state_dir(tmp_path)
-        code, out = run_cli(
-            capsys, "top", "--state-dir", str(state_dir),
-            "--iterations", "1", "--no-clear")
-        assert code == 0
-        assert "repro top" in out
-        assert "1 done" in out
 
     def test_status_flags_stale_heartbeat(self, capsys, tmp_path):
         paths = ServicePaths(tmp_path).ensure()

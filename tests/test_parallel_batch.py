@@ -250,10 +250,6 @@ class TestFailureIsolation:
 
 
 class TestValidationAndProgress:
-    def test_conflicting_worker_counts_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_batch(_configs(n=2), processes=2, workers=3)
-
     def test_legacy_processes_alias_still_works(self):
         results = run_batch(_configs(n=2, duration_s=2.0), 1)
         assert len(results) == 2

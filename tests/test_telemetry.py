@@ -390,7 +390,7 @@ class TestBatchTelemetry:
                               **kwargs) for s in range(n)]
 
     def test_failure_summary_has_counters(self):
-        results = run_batch(self._configs(2), processes=1)
+        results = run_batch(self._configs(2), workers=1)
         summary = batch_failure_summary(results)
         assert summary["counters"] == {
             "batch.sessions_total": 2,
@@ -403,7 +403,7 @@ class TestBatchTelemetry:
 
     def test_progress_callback_called_per_session(self):
         seen = []
-        run_batch(self._configs(3), processes=1,
+        run_batch(self._configs(3), workers=1,
                   progress=lambda done, total, entry:
                   seen.append((done, total, entry["app"])))
         assert seen == [(1, 3, "Facebook"), (2, 3, "Facebook"),
@@ -414,7 +414,7 @@ class TestBatchTelemetry:
         # lands in the failure counters.
         configs = self._configs(1) + [
             SessionConfig(app="no-such-app", duration_s=3.0)]
-        results = run_batch(configs, processes=1, retries=1)
+        results = run_batch(configs, workers=1, retries=1)
         summary = batch_failure_summary(results)
         assert summary["counters"]["batch.sessions_failed"] == 1
         assert summary["counters"]["batch.retry_attempts"] == 1
