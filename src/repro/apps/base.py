@@ -141,8 +141,11 @@ class Application:
             gap = 1.0 / rate
         elif self.profile.content_process is ContentProcess.ANIMATION:
             # Jittered frame ticks: +-15 % around the nominal period,
-            # so ticks never bunch while the rate is below refresh.
-            gap = (1.0 / rate) * float(self._content_rng.uniform(0.85, 1.15))
+            # so ticks never bunch while the rate is below refresh.  The
+            # jitter is drawn as numpy's uniform draws it, at a third of
+            # the call cost (docs/performance.md).
+            gap = (1.0 / rate) * (0.85 + (1.15 - 0.85)
+                                  * self._content_rng.random())
         else:
             gap = float(self._content_rng.exponential(1.0 / rate))
         if not math.isfinite(gap):

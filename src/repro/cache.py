@@ -62,10 +62,11 @@ serves garbage.
 Stats are counted in a :class:`~repro.telemetry.metrics.MetricsRegistry`
 (``cache.hits`` / ``cache.misses`` / ``cache.stores`` /
 ``cache.store_races`` / ``cache.corrupt_entries`` /
-``cache.evictions`` / ``cache.uncacheable``), so a service configured
-with a cache exposes them live through the Prometheus endpoint, and
-:meth:`ResultCache.write_index` folds them into a persistent
-``index.json`` whose totals survive across runs.
+``cache.evictions`` / ``cache.uncacheable``): the cache's own
+``metrics`` registry, or the one passed in, so a caller can count
+several caches in one place.  :meth:`ResultCache.stats_dict` reads
+them, and :meth:`ResultCache.write_index` folds them into a
+persistent ``index.json`` whose totals survive across runs.
 """
 
 from __future__ import annotations

@@ -363,9 +363,3 @@ def measure_accuracy(meter_meaningful: int, truth_meaningful: int) -> float:
     if truth_meaningful == 0:
         return 0.0 if meter_meaningful == 0 else float("inf")
     return abs(meter_meaningful - truth_meaningful) / truth_meaningful
-
-
-def sample_counts_for_paper_budgets() -> "dict[str, int]":
-    """The Figure 6 pixel budgets (label -> sample count)."""
-    from .grid import PAPER_PIXEL_BUDGETS
-    return dict(PAPER_PIXEL_BUDGETS)

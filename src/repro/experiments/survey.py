@@ -203,9 +203,3 @@ def run_survey_summaries(config: SurveyConfig = None,
     result = SurveySummaries(config=config, summaries=summaries)
     _SUMMARY_CACHE[config] = result
     return result
-
-
-def clear_survey_cache() -> None:
-    """Drop all cached sweeps (tests use this for isolation)."""
-    _CACHE.clear()
-    _SUMMARY_CACHE.clear()

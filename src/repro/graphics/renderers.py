@@ -25,11 +25,25 @@ keeps whole sessions reproducible.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..units import ensure_non_negative_int, ensure_positive_int
 from .surface import Surface, fill_rect
+
+
+def _draw_colour(rng: np.random.Generator) -> Tuple[int, int, int]:
+    """One random RGB colour, as ``rng.integers(0, 256, size=3,
+    dtype=np.uint8)`` would draw it.
+
+    That draw takes one 32-bit word and returns its low three bytes,
+    low byte first; a full-range 32-bit draw returns the same word at
+    a third of the call cost (``tests/test_draw_streams.py``).
+    """
+    c = int(rng.integers(0, 1 << 32))
+    return c & 255, c >> 8 & 255, c >> 16 & 255
 
 
 class Renderer:
@@ -96,17 +110,21 @@ class SceneChangeRenderer(Renderer):
                 f"({min_frac}, {max_frac})")
         self.min_frac = min_frac
         self.max_frac = max_frac
+        self._span = max_frac - min_frac
 
     def render(self, surface: Surface, rng: np.random.Generator) -> None:
         h, w = surface.height, surface.width
         px = surface.pixels
+        lo, span = self.min_frac, self._span
+        # Each draw is the cheapest call yielding the same values and
+        # generator state as the plain form (docs/performance.md,
+        # "Cheapest call, same stream"; tests/test_draw_streams.py).
         for _ in range(self.num_rects):
-            rh = max(1, int(h * rng.uniform(self.min_frac, self.max_frac)))
-            rw = max(1, int(w * rng.uniform(self.min_frac, self.max_frac)))
+            rh = max(1, int(h * (lo + span * rng.random())))
+            rw = max(1, int(w * (lo + span * rng.random())))
             y0 = int(rng.integers(0, h - rh + 1))
             x0 = int(rng.integers(0, w - rw + 1))
-            color = rng.integers(0, 256, size=3, dtype=np.uint8)
-            fill_rect(px, y0, y0 + rh, x0, x0 + rw, color)
+            fill_rect(px, y0, y0 + rh, x0, x0 + rw, _draw_colour(rng))
         surface.mark_damaged()
 
 
@@ -160,9 +178,8 @@ class SmallRegionRenderer(Renderer):
         if rh <= 0 or rw <= 0:
             raise ConfigurationError(
                 "SmallRegionRenderer region lies outside the surface")
-        color = rng.integers(0, 256, size=3, dtype=np.uint8)
         fill_rect(surface.pixels, self.y, self.y + rh, self.x, self.x + rw,
-                  color)
+                  _draw_colour(rng))
         surface.mark_damaged()
 
 
@@ -215,8 +232,9 @@ class MovingSpritesRenderer(Renderer):
         # sweeps the grid against.
         max_y = max(0, surface.height - d)
         max_x = max(0, surface.width - d)
-        steps = rng.choice([-self.step_px, self.step_px],
-                           size=(self.num_dots, 2))
+        # What choice() of two values draws, indexed directly.
+        steps = np.array((-self.step_px, self.step_px))[
+            rng.integers(0, 2, size=(self.num_dots, 2))]
         self._positions = np.clip(self._positions + steps,
                                   [0, 0], [max_y, max_x])
         for y, x in self._positions:

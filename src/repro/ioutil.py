@@ -24,7 +24,7 @@ import os
 import pathlib
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, List, Tuple, Union
+from typing import Any, List, Union
 
 PathLike = Union[str, pathlib.Path]
 
@@ -208,11 +208,3 @@ def ensure_directory(path: PathLike) -> pathlib.Path:
     path = pathlib.Path(path)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def file_digest_sha256(path: PathLike) -> Tuple[str, int]:
-    """(hex sha256, size) of a file's bytes."""
-    import hashlib
-
-    data = pathlib.Path(path).read_bytes()
-    return hashlib.sha256(data).hexdigest(), len(data)

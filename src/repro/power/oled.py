@@ -102,6 +102,10 @@ class OledModel:
             for value in self.full_channel_mw))
         ensure_positive(self.gamma, "gamma")
         ensure_non_negative(self.base_mw, "base_mw")
+        # The model is frozen, so the repr part of every price memo key
+        # is fixed: render it once, not once per frame.
+        object.__setattr__(self, "_memo_key_head",
+                           f"{self!r} ".encode())
 
     # ------------------------------------------------------------------
     # Frame pricing
@@ -126,7 +130,8 @@ class OledModel:
             # The mean sums in stride order, so another layout can
             # price one ulp off its contiguous copy: price it directly.
             return self._price(pixels)
-        hasher = hashlib.sha256(f"{self!r} {pixels.shape}".encode())
+        hasher = hashlib.sha256(
+            self._memo_key_head + str(pixels.shape).encode())
         hasher.update(pixels)
         key = hasher.digest()
         price = _PRICE_MEMO.get(key)

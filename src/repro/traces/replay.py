@@ -18,10 +18,10 @@ a same-governor replay reproduces the summary byte for byte.  Pass
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import TraceError
-from .format import FrameTrace, PathLike, load_trace
+from .format import PathLike, load_trace
 from .profile import TraceProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -68,10 +68,3 @@ def replay_session(path: PathLike, *,
 
     return run_session(replay_config(path, governor=governor,
                                      **overrides))
-
-
-def trace_of(source: Union[FrameTrace, PathLike]) -> FrameTrace:
-    """``source`` as a decoded trace (paths load, traces pass through)."""
-    if isinstance(source, FrameTrace):
-        return source
-    return load_trace(source)

@@ -1,5 +1,9 @@
 """Tests for the OLED emission model and tracker."""
 
+import dataclasses
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
@@ -234,6 +238,19 @@ class TestPriceMemo:
         for model, price in zip(models, prices):
             assert model.frame_power_mw(pixels) == price == \
                 _direct_price(model, pixels)
+
+    @pytest.mark.parametrize("make", [
+        lambda: OledModel(gamma=2.4),
+        lambda: dataclasses.replace(OledModel(), base_mw=16.0),
+        lambda: pickle.loads(pickle.dumps(OledModel(gamma=1.8))),
+    ], ids=["init", "replace", "unpickled"])
+    def test_key_is_sha256_of_repr_shape_and_bytes(self, make):
+        model = make()
+        pixels = _random_frame(7, (23, 37, 3))
+        model.frame_power_mw(pixels)
+        key = hashlib.sha256(
+            f"{model!r} {pixels.shape}".encode() + pixels.tobytes())
+        assert list(oled._PRICE_MEMO) == [key.digest()]
 
     def test_memo_never_exceeds_its_bound(self, monkeypatch):
         model = OledModel()
