@@ -43,12 +43,10 @@ from .baselines import (
     OracleGovernor,
 )
 from .core import (
-    ContentCentricManager,
     ContentRateMeter,
     DoubleBuffer,
     GridComparator,
     GridSpec,
-    ManagerConfig,
     MeterConfig,
     QualityReport,
     SampledDoubleBuffer,
@@ -169,7 +167,6 @@ __all__ = [
     "AppProfile",
     "Application",
     "ConfigurationError",
-    "ContentCentricManager",
     "ContentRateMeter",
     "Counter",
     "DisplayError",
@@ -197,7 +194,6 @@ __all__ = [
     "JsonlSink",
     "LTPO_120_PANEL",
     "LiveWallpaper",
-    "ManagerConfig",
     "MeterConfig",
     "MeteringError",
     "MetricsRegistry",

@@ -4,8 +4,8 @@ Pipeline (Section 3 of the paper):
 
 1. :class:`~repro.core.double_buffer.DoubleBuffer` keeps the previous
    framebuffer available for comparison without stalling updates (the
-   meter charges its traffic and keeps only the grid samples it
-   compares).
+   meter charges its traffic and keeps no frame itself: it compares
+   with :attr:`~repro.graphics.framebuffer.Framebuffer.previous_pixels`).
 2. :class:`~repro.core.grid.GridSpec` /
    :class:`~repro.core.grid.GridComparator` compare only one
    representative pixel per grid cell, making metering nearly free.
@@ -17,8 +17,8 @@ Pipeline (Section 3 of the paper):
 5. :class:`~repro.core.governor.SectionBasedGovernor` applies the table
    periodically; :class:`~repro.core.governor.TouchBoostGovernor` wraps
    it to jump to the maximum rate on touch.
-6. :class:`~repro.core.manager.ContentCentricManager` wires all of the
-   above onto a panel + framebuffer — the "proposed system".
+6. :meth:`~repro.pipeline.builder.SessionBuilder.build_governor` (stage 8)
+   wires items 3–5 into the "proposed system".
 """
 
 from .content_rate import ContentRateMeter, MeterConfig
@@ -31,13 +31,11 @@ from .governor import (
 )
 from .grid import GridComparator, GridSpec
 from .hysteresis import HysteresisGovernor
-from .manager import ContentCentricManager, ManagerConfig
 from .quality import QualityReport, compute_quality, quality_vs_baseline
 from .section_table import Section, SectionTable
 from .watchdog import GovernorWatchdog, WatchdogConfig
 
 __all__ = [
-    "ContentCentricManager",
     "ContentRateMeter",
     "DoubleBuffer",
     "GovernorPolicy",
@@ -45,7 +43,6 @@ __all__ = [
     "GridComparator",
     "GridSpec",
     "HysteresisGovernor",
-    "ManagerConfig",
     "MeterConfig",
     "NaiveMatchGovernor",
     "QualityReport",

@@ -13,8 +13,10 @@ memory-bandwidth cost of the scheme, and one ablation
 (:class:`SampledDoubleBuffer`) shows that storing only the grid samples
 cuts that cost by the grid's coverage fraction.
 
-The content-rate meter charges this traffic; it does not copy it.  Its
-comparison reads only grid samples, which it keeps itself, so
+The content-rate meter charges this traffic; it does not copy it.  It
+keeps no frame of its own: each update is compared with
+:attr:`~repro.graphics.framebuffer.Framebuffer.previous_pixels`, the
+frame the update replaced.  So
 :class:`~repro.core.content_rate.ContentRateMeter` counts captures and
 prices each at the slot size of the scheme its configuration names
 (``MeterConfig.store_full_frames``).  The classes here are the scheme

@@ -58,7 +58,7 @@ EXPERIMENTS: Tuple[ExperimentInfo, ...] = (
     ExperimentInfo(
         "fig7", "Content/refresh-rate traces under control",
         "Facebook & Jelly Splash, 60 s, +/- touch boost",
-        ("repro.core.governor", "repro.core.manager"),
+        ("repro.core.governor", "repro.experiments.fig7"),
         "benchmarks/bench_fig7_control_traces.py", _lazy("fig7")),
     ExperimentInfo(
         "fig8", "Power saved over time, Facebook & Jelly Splash",

@@ -10,7 +10,7 @@ drives sessions over that substrate, skipping the ticks
 """
 
 from .engine import EventHandle, PeriodicTask, Simulator
-from .tracing import EventLog, StepSeries, TimeSeries, TraceSet
+from .tracing import EventLog, StepSeries, TimeSeries
 
 __all__ = [
     "EventHandle",
@@ -19,5 +19,4 @@ __all__ = [
     "Simulator",
     "StepSeries",
     "TimeSeries",
-    "TraceSet",
 ]

@@ -133,16 +133,12 @@ def summarize_result(result) -> Dict:
     return summary
 
 
-#: Backwards-compatible private alias (pre-service name).
-_summarize = summarize_result
-
-
 def run_session_summary(config: SessionConfig) -> Dict:
     """Run one session and return its plain-data summary.
 
     Module-level (picklable) so it can be a multiprocessing worker.
     """
-    return _summarize(run_session(config))
+    return summarize_result(run_session(config))
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +367,7 @@ def _session_payload(config: SessionConfig, capture: bool) -> Dict:
             event = dict(event)
             event.pop("wall_s", None)
             events.append(event)
-    return {"entry": _summarize(result), "events": events}
+    return {"entry": summarize_result(result), "events": events}
 
 
 def _attempt(index: int, payload: Union[Dict, SessionConfig],

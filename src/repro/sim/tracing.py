@@ -20,7 +20,7 @@ by construction.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -332,46 +332,3 @@ class TimeSeries:
                 means[i] = float(values[mask].mean())
         return centers, means
 
-
-class TraceSet:
-    """A named bundle of traces collected during one session.
-
-    Acts as a small typed registry so session code can create traces
-    lazily and analysis code can enumerate what was recorded.
-    """
-
-    def __init__(self) -> None:
-        self._events: Dict[str, EventLog] = {}
-        self._steps: Dict[str, StepSeries] = {}
-        self._series: Dict[str, TimeSeries] = {}
-
-    def event_log(self, name: str) -> EventLog:
-        """Get or create the event log called ``name``."""
-        if name not in self._events:
-            self._events[name] = EventLog(name)
-        return self._events[name]
-
-    def step_series(self, name: str, initial: float = 0.0,
-                    start_time: float = 0.0) -> StepSeries:
-        """Get or create the step series called ``name``."""
-        if name not in self._steps:
-            self._steps[name] = StepSeries(name, initial, start_time)
-        return self._steps[name]
-
-    def time_series(self, name: str) -> TimeSeries:
-        """Get or create the time series called ``name``."""
-        if name not in self._series:
-            self._series[name] = TimeSeries(name)
-        return self._series[name]
-
-    @property
-    def event_log_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._events))
-
-    @property
-    def step_series_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._steps))
-
-    @property
-    def time_series_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._series))

@@ -50,7 +50,6 @@ _EXPORTS = {
     "TraceFrameSource": "source",
     "register_trace": "source",
     "replay_config": "replay",
-    "replay_session": "replay",
     "SYNTH_KINDS": "synth",
     "synthetic_trace": "synth",
 }

@@ -25,7 +25,7 @@ from .format import PathLike, load_trace
 from .profile import TraceProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..sim.session import SessionConfig, SessionResult
+    from ..sim.session import SessionConfig
 
 
 def replay_config(path: PathLike, *,
@@ -59,12 +59,3 @@ def replay_config(path: PathLike, *,
         config = dataclasses.replace(config, governor=governor)
     return config
 
-
-def replay_session(path: PathLike, *,
-                   governor: Optional[str] = None,
-                   **overrides: Any) -> "SessionResult":
-    """Run the replay session for ``path`` (see :func:`replay_config`)."""
-    from ..sim.session import run_session
-
-    return run_session(replay_config(path, governor=governor,
-                                     **overrides))

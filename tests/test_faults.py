@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.export import session_summary_dict
 from repro.core.content_rate import ContentRateMeter, MeterConfig
 from repro.core.governor import GovernorPolicy
-from repro.core.manager import ContentCentricManager, ManagerConfig
 from repro.core.watchdog import (
     GovernorWatchdog,
     STATE_FAILSAFE,
@@ -37,6 +36,7 @@ from repro.inputs.touch import (
     TouchScript,
     TouchSource,
 )
+from repro.pipeline import SessionBuilder
 from repro.sim.engine import Simulator
 from repro.sim.session import SessionConfig, run_session
 
@@ -476,25 +476,21 @@ class TestSessionFaults:
 
 
 class TestManagerIntegration:
+    """The paper's system as ``SessionBuilder`` stage 8 assembles it."""
+
+    @staticmethod
+    def _builder(faults=None):
+        return SessionBuilder(SessionConfig(
+            app="Facebook", governor="section+boost", duration_s=1.0,
+            meter=MeterConfig(sample_count=64), faults=faults)).assemble()
+
     def test_manager_builds_watchdog_with_injector(self):
-        sim = Simulator()
-        fb = Framebuffer(16, 16)
-        panel = DisplayPanel(sim, GALAXY_S3_PANEL)
-        injector = FaultInjector(FaultPlan(meter_fail=0.5))
-        mgr = ContentCentricManager(
-            sim, panel, fb,
-            config=ManagerConfig(meter=MeterConfig(sample_count=64)),
-            injector=injector)
-        assert isinstance(mgr.policy, GovernorWatchdog)
-        assert mgr.watchdog is mgr.policy
-        assert mgr.policy.failsafe_rate_hz == 60.0
+        builder = self._builder(faults=FaultPlan(meter_fail=0.5))
+        assert isinstance(builder.watchdog, GovernorWatchdog)
+        assert builder.driver.policy is builder.watchdog
+        assert builder.watchdog.failsafe_rate_hz == 60.0
 
     def test_manager_without_injector_unwrapped(self):
-        sim = Simulator()
-        fb = Framebuffer(16, 16)
-        panel = DisplayPanel(sim, GALAXY_S3_PANEL)
-        mgr = ContentCentricManager(
-            sim, panel, fb,
-            config=ManagerConfig(meter=MeterConfig(sample_count=64)))
-        assert mgr.watchdog is None
-        assert not isinstance(mgr.policy, GovernorWatchdog)
+        builder = self._builder()
+        assert builder.watchdog is None
+        assert not isinstance(builder.policy, GovernorWatchdog)

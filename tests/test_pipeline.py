@@ -27,7 +27,11 @@ from repro.cli import main as cli_main
 from repro.analysis.export import session_summary_dict
 from repro.apps.catalog import app_profile
 from repro.core.content_rate import MeterConfig
-from repro.core.governor import GovernorPolicy
+from repro.core.governor import (
+    GovernorPolicy,
+    SectionBasedGovernor,
+    TouchBoostGovernor,
+)
 from repro.display.presets import GALAXY_S3_PANEL, panel_preset
 from repro.errors import ConfigurationError, SpecError, WorkloadError
 from repro.faults.plan import FaultPlan, FaultWindow
@@ -279,6 +283,27 @@ class TestBuilderEquivalence:
         pooled = run_batch(configs, workers=4, mp_context="fork")
         assert (json.dumps(serial, sort_keys=True)
                 == json.dumps(pooled, sort_keys=True))
+
+
+# ----------------------------------------------------------------------
+# The paper's system (stage 8)
+# ----------------------------------------------------------------------
+class TestPaperSystem:
+    @pytest.mark.parametrize("governor", ["section", "section+boost"])
+    def test_section_policy_stack(self, governor):
+        builder = SessionBuilder(SessionConfig(
+            app="Facebook", governor=governor, duration_s=1.0)).assemble()
+        panel = builder.panel
+        policy = builder.policy
+        if governor == "section+boost":
+            assert type(policy) is TouchBoostGovernor
+            assert policy.boost_rate_hz == panel.spec.max_refresh_hz
+            policy = policy.inner
+        assert type(policy) is SectionBasedGovernor
+        assert policy.meter is builder.meter
+        assert (policy.table.refresh_rates_hz
+                == panel.spec.refresh_rates_hz)
+        assert builder.driver.policy is builder.policy
 
 
 # ----------------------------------------------------------------------

@@ -54,10 +54,12 @@ class TestPublicApi:
 
     def test_subpackage_alls_resolve(self):
         import importlib
-        for package in ("repro.core", "repro.graphics", "repro.display",
-                        "repro.power", "repro.apps", "repro.inputs",
-                        "repro.baselines", "repro.sim", "repro.analysis",
-                        "repro.experiments"):
+        import pkgutil
+        import repro
+        packages = [info.name for info in pkgutil.walk_packages(
+            repro.__path__, prefix="repro.") if info.ispkg]
+        assert "repro.core" in packages
+        for package in packages:
             module = importlib.import_module(package)
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), f"{package}.{name}"

@@ -30,6 +30,12 @@ class TestSessionConfig:
         with pytest.raises(ConfigurationError):
             SessionConfig(app="Facebook", duration_s=0.0)
 
+    def test_invalid_control_timing_rejected(self):
+        with pytest.raises(ConfigurationError):
+            SessionConfig(app="Facebook", decision_period_s=0.0)
+        with pytest.raises(ConfigurationError):
+            SessionConfig(app="Facebook", boost_hold_s=-1.0)
+
     def test_profile_resolution_by_name(self):
         cfg = SessionConfig(app="Facebook")
         assert cfg.resolve_profile().name == "Facebook"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.tracing import EventLog, StepSeries, TimeSeries, TraceSet
+from repro.sim.tracing import EventLog, StepSeries, TimeSeries
 
 
 class TestEventLog:
@@ -223,23 +223,3 @@ class TestTimeSeries:
         assert np.isnan(means[0])
         assert means[1] == pytest.approx(10.0)
 
-
-class TestTraceSet:
-    def test_lazy_creation_and_reuse(self):
-        traces = TraceSet()
-        log = traces.event_log("frames")
-        assert traces.event_log("frames") is log
-        step = traces.step_series("rate", initial=60.0)
-        assert traces.step_series("rate") is step
-        series = traces.time_series("content")
-        assert traces.time_series("content") is series
-
-    def test_name_listings(self):
-        traces = TraceSet()
-        traces.event_log("b")
-        traces.event_log("a")
-        traces.step_series("rate")
-        traces.time_series("content")
-        assert traces.event_log_names == ("a", "b")
-        assert traces.step_series_names == ("rate",)
-        assert traces.time_series_names == ("content",)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.analysis.export import json_sanitize, session_summary_dict
 from repro.errors import ConfigurationError, TraceError
 from repro.pipeline.spec import SessionSpec, spec_roundtrip
-from repro.sim.batch import _summarize, run_batch
+from repro.sim.batch import run_batch, summarize_result
 from repro.sim.session import SessionConfig, run_session
 from repro.traces import (
     FrameRecord,
@@ -294,7 +294,7 @@ class TestRecordReplay:
     def test_replay_pooled_matches_serial(self, recorded):
         _, _, path = recorded
         config = replay_config(path)
-        serial = _summarize(run_session(config))
+        serial = summarize_result(run_session(config))
         scheme = dataclasses.replace(config, app=f"trace:{path}")
         entries = run_batch([config, scheme], workers=2)
         expected = json.dumps(serial, sort_keys=True)
