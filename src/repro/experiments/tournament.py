@@ -58,6 +58,7 @@ from ..pipeline.governors import governor_names
 from ..sim.batch import run_batch
 from ..sim.session import GOVERNOR_CHOICES, SessionConfig
 from ..traces.format import TraceBuilder, save_trace
+from ..traces.profile import evict_traces_under
 from ..traces.source import AUX_CONTENT_CHANGES, AUX_RENDERS
 from ..traces.synth import SYNTH_KINDS, synthetic_geometry, \
     synthetic_trace
@@ -319,6 +320,7 @@ def run_tournament(config: Optional[TournamentConfig] = None, *,
             probe = _luminance_probe(config, trace_dir, workers)
     finally:
         if cleanup is not None:
+            evict_traces_under(trace_dir)
             cleanup.cleanup()
 
     return {

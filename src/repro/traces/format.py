@@ -84,7 +84,12 @@ def rle_encode(data: np.ndarray) -> bytes:
     flat = np.ascontiguousarray(data, dtype=np.uint8).ravel()
     if flat.size == 0:
         return b""
-    boundaries = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    return _rle_pairs(flat, np.flatnonzero(flat[1:] != flat[:-1]) + 1)
+
+
+def _rle_pairs(flat: np.ndarray, boundaries: np.ndarray) -> bytes:
+    """Packed pairs for non-empty ``flat`` whose runs start at 0 and
+    at each index in ``boundaries``."""
     starts = np.concatenate(([0], boundaries))
     ends = np.concatenate((boundaries, [flat.size]))
     lengths = ends - starts
@@ -182,23 +187,36 @@ class FrameRecord:
 
 def encode_frame_delta(time: float, previous: np.ndarray,
                        current: np.ndarray) -> FrameRecord:
-    """The :class:`FrameRecord` turning ``previous`` into ``current``."""
-    changed = (current != previous).any(axis=2)
-    if not changed.any():
+    """The :class:`FrameRecord` turning ``previous`` into ``current``.
+
+    One pass per piece of work: a single byte-level change mask gives
+    the dirty rows, and its columns are scanned over those rows only.
+    Every RLE pair is 3 bytes and splitting an over-long run only adds
+    pairs, so a region with ``3 * runs >= nbytes`` cannot shrink under
+    RLE and is stored raw without building any pairs.
+    """
+    height, width = current.shape[:2]
+    changed = (current != previous).reshape(height, width * 3)
+    rows = changed.any(axis=1)
+    if not rows.any():
         return FrameRecord(time=time, rect=(0, 0, 0, 0), raw=False,
                            payload=b"")
-    rows = changed.any(axis=1)
-    cols = changed.any(axis=0)
     y0 = int(np.argmax(rows))
-    y1 = int(len(rows) - np.argmax(rows[::-1]))
+    y1 = int(height - np.argmax(rows[::-1]))
+    cols = changed[y0:y1].any(axis=0).reshape(width, 3).any(axis=1)
     x0 = int(np.argmax(cols))
-    x1 = int(len(cols) - np.argmax(cols[::-1]))
+    x1 = int(width - np.argmax(cols[::-1]))
+    rect = (y0, x0, y1, x1)
     region = np.ascontiguousarray(current[y0:y1, x0:x1])
-    rle = rle_encode(region)
-    if len(rle) < region.nbytes:
-        return FrameRecord(time=time, rect=(y0, x0, y1, x1), raw=False,
-                           payload=rle)
-    return FrameRecord(time=time, rect=(y0, x0, y1, x1), raw=True,
+    flat = region.reshape(-1)
+    steps = flat[1:] != flat[:-1]
+    runs = int(np.count_nonzero(steps)) + 1
+    if _RLE_DTYPE.itemsize * runs < region.nbytes:
+        rle = _rle_pairs(flat, np.flatnonzero(steps) + 1)
+        if len(rle) < region.nbytes:
+            return FrameRecord(time=time, rect=rect, raw=False,
+                               payload=rle)
+    return FrameRecord(time=time, rect=rect, raw=True,
                        payload=region.tobytes())
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..errors import TraceError
 
@@ -29,8 +29,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: is accepted (CLI ``--app``, specs, the batch wire format).
 TRACE_APP_PREFIX = "trace:"
 
-#: path -> ((mtime_ns, size), FrameTrace); invalidated on file change.
-_CACHE: Dict[str, Tuple[Tuple[int, int], "FrameTrace"]] = {}
+
+@dataclass
+class _Entry:
+    """One decoded trace file and, once asked for, its embedded
+    profile.  Both live and die together: a file change replaces the
+    whole entry."""
+
+    signature: Tuple[int, int, int]
+    trace: "FrameTrace"
+    profile: Optional["AppProfile"] = None
+
+
+#: path -> entry for the file state ``(inode, mtime_ns, size)``; an
+#: atomic rewrite always changes the inode, so it always invalidates.
+_CACHE: Dict[str, _Entry] = {}
 
 
 @dataclass(frozen=True)
@@ -45,21 +58,24 @@ class TraceProfile:
 
     def load(self) -> "FrameTrace":
         """The decoded trace (cached until the file changes on disk)."""
+        return self._entry().trace
+
+    def _entry(self) -> _Entry:
         from .format import load_trace
 
         key = str(self.path)
         try:
             stat = pathlib.Path(key).stat()
-            signature = (stat.st_mtime_ns, stat.st_size)
+            signature = (stat.st_ino, stat.st_mtime_ns, stat.st_size)
         except OSError as exc:
             raise TraceError(
                 f"cannot read trace {key}: {exc}") from None
         cached = _CACHE.get(key)
-        if cached is not None and cached[0] == signature:
-            return cached[1]
-        trace = load_trace(key)
-        _CACHE[key] = (signature, trace)
-        return trace
+        if cached is not None and cached.signature == signature:
+            return cached
+        entry = _Entry(signature, load_trace(key))
+        _CACHE[key] = entry
+        return entry
 
     def as_app_profile(self) -> "AppProfile":
         """The source application's profile, embedded at record time.
@@ -67,9 +83,23 @@ class TraceProfile:
         Replay sessions resolve to the *original* profile, so every
         profile-derived quantity — power model parameters, Monkey
         interaction hints, the summary's app name and category — is
-        identical to the recorded session's.
+        identical to the recorded session's.  It is decoded once per
+        decoded trace; a decode error is raised again on every call.
         """
-        return decode_trace_profile(self.load().meta, str(self.path))
+        entry = self._entry()
+        if entry.profile is None:
+            entry.profile = decode_trace_profile(entry.trace.meta,
+                                                 str(self.path))
+        return entry.profile
+
+
+def evict_traces_under(directory: Union[str, pathlib.Path]) -> None:
+    """Drop every cached trace whose path lies inside ``directory``
+    (for a caller about to delete the directory)."""
+    root = pathlib.Path(directory)
+    for key in [key for key in _CACHE
+                if pathlib.Path(key).is_relative_to(root)]:
+        del _CACHE[key]
 
 
 def decode_trace_profile(meta: Mapping[str, Any],

@@ -9,15 +9,23 @@ coherence check never absorbs a post and no surface is latched, so
 every tick fires off the event heap and every composite is blitted and
 compared in full.  No production flag exists for this; it is a
 test-side patch only.
+
+:func:`encode_frame_delta` is the specification of the trace writer's
+delta encoder: the straightforward two-pass form (a per-pixel change
+mask, then a full RLE encode of the dirty rect whatever its content)
+that :func:`repro.traces.format.encode_frame_delta` must match record
+for record.
 """
 
 import contextlib
 from typing import Iterator
 
+import numpy as np
 import pytest
 
 from repro.graphics.compositor import SurfaceManager
 from repro.sim.fastforward import FastForward
+from repro.traces.format import FrameRecord, rle_encode
 
 
 @contextlib.contextmanager
@@ -31,3 +39,25 @@ def reference_path() -> Iterator[None]:
         patch.setattr(SurfaceManager, "_latched_surface",
                       lambda self, rects: None)
         yield
+
+
+def encode_frame_delta(time: float, previous: np.ndarray,
+                       current: np.ndarray) -> FrameRecord:
+    """The :class:`FrameRecord` turning ``previous`` into ``current``."""
+    changed = (current != previous).any(axis=2)
+    if not changed.any():
+        return FrameRecord(time=time, rect=(0, 0, 0, 0), raw=False,
+                           payload=b"")
+    rows = changed.any(axis=1)
+    cols = changed.any(axis=0)
+    y0 = int(np.argmax(rows))
+    y1 = int(len(rows) - np.argmax(rows[::-1]))
+    x0 = int(np.argmax(cols))
+    x1 = int(len(cols) - np.argmax(cols[::-1]))
+    region = np.ascontiguousarray(current[y0:y1, x0:x1])
+    rle = rle_encode(region)
+    if len(rle) < region.nbytes:
+        return FrameRecord(time=time, rect=(y0, x0, y1, x1), raw=False,
+                           payload=rle)
+    return FrameRecord(time=time, rect=(y0, x0, y1, x1), raw=True,
+                       payload=region.tobytes())

@@ -27,15 +27,6 @@ def burst_profile(idle=0.5, active=40.0, burst_s=20.0):
         touch_events_per_s=0.0, scroll_fraction=0.0)
 
 
-def one_touch_monkey(touch_time, duration):
-    """A Monkey config replaced by an explicit single-touch script."""
-    # events_per_s=0 yields an empty script; we inject the touch by
-    # choosing warmup such that exactly one event fires is fiddly, so
-    # instead use a high-rate, tight window.
-    del touch_time
-    return MonkeyConfig(duration_s=duration, events_per_s=0.0)
-
-
 class TestLadderClimb:
     def _session(self, governor):
         # One touch at t=10 (monkey: a single-event window).
@@ -52,28 +43,15 @@ class TestLadderClimb:
         assert result.panel.rate_history.value_at(1.0) == 20.0
 
     def test_climb_reaches_maximum_within_seconds(self):
-        # Touch injected via the app's own burst: drive with a script
-        # that really contains one touch.
-        from repro.inputs.touch import TouchEvent, TouchScript
-        from repro.sim.session import run_session as _run
-        # Simpler: use a profile whose *idle* content is the burst —
-        # i.e. content jumps at t=0 and the ladder climbs from the
-        # initial 60 Hz downwards... instead test the upward ladder by
-        # starting at the floor: idle first 10 s, then rate rises via
-        # a periodic 40 fps process that only starts mattering once
-        # running.  The cleanest upward test: app with constant 40 fps
-        # ANIMATION content and governor starting from a panel already
-        # settled at 20 Hz is covered by the naive-deadlock tests; here
-        # assert the section governor, starting fresh (60 Hz), never
-        # needs to climb for constant-high content: it stays at 60.
+        # The section governor, starting fresh at 60 Hz, never needs
+        # to climb for constant-high content: it stays at 60.
         profile = burst_profile(idle=40.0, active=40.0)
-        result = _run(SessionConfig(
+        result = run_session(SessionConfig(
             app=profile, governor="section", duration_s=20.0, seed=3,
             monkey=MonkeyConfig(duration_s=20.0, events_per_s=0.0)))
         # Constant 40 fps content -> 60 Hz section, held throughout
         # (after the first window fills).
         assert result.panel.rate_history.mean(5.0, 20.0) > 55.0
-        del TouchEvent, TouchScript
 
     def test_decay_to_floor_after_content_stops(self):
         # Content at 40 fps for the first segment only (burst ends).

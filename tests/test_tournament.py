@@ -8,12 +8,14 @@ the separate stats document.
 """
 
 import json
+import pathlib
 
 import pytest
 
 from repro.cache import ResultCache
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
+from repro.experiments import tournament
 from repro.experiments.tournament import (
     BASELINE,
     TOURNAMENT_SCHEMA,
@@ -23,6 +25,7 @@ from repro.experiments.tournament import (
     run_tournament,
 )
 from repro.sim.session import GOVERNOR_CHOICES
+from repro.traces import profile
 
 #: A tournament small enough for tests, wide enough to be honest:
 #: every registered governor, two catalog apps, one synthetic trace.
@@ -65,6 +68,28 @@ class TestDeterminism:
                                 workdir=str(tmp_path / "traces"))
         assert canonical(small_document) == canonical(pinned)
         assert str(tmp_path) not in canonical(pinned)
+
+
+class TestTraceCacheEviction:
+    def test_temp_dir_traces_leave_the_decode_cache(self, monkeypatch):
+        workdirs = []
+        write = tournament._trace_workloads
+
+        def recording(config, workdir):
+            workdirs.append(workdir)
+            return write(config, workdir)
+
+        monkeypatch.setattr(tournament, "_trace_workloads", recording)
+        config = TournamentConfig(governors=("fixed", "section"),
+                                  apps=("Facebook",),
+                                  trace_kinds=("video", "scroll"),
+                                  duration_s=2.0, trace_duration_s=2.0)
+        for _ in range(2):
+            run_tournament(config, workers=1)
+        assert len(workdirs) == 2
+        assert not [key for key in profile._CACHE
+                    for workdir in workdirs
+                    if pathlib.Path(key).is_relative_to(workdir)]
 
 
 class TestCaching:

@@ -34,6 +34,9 @@ from repro.traces import (
     synthetic_trace,
 )
 from repro.traces.format import encode_frame_delta
+from repro.traces.profile import TraceProfile
+
+from .reference import encode_frame_delta as reference_encode_frame_delta
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -60,7 +63,8 @@ geometries = st.tuples(st.integers(min_value=1, max_value=24),
 
 @st.composite
 def frame_sequences(draw):
-    """(width, height, [frames]) with redundant and noisy frames."""
+    """(width, height, [frames]) with redundant, noisy, one-pixel and
+    flat-block frames."""
     width, height = draw(geometries)
     count = draw(st.integers(min_value=0, max_value=6))
     seed = draw(st.integers(min_value=0, max_value=2**31))
@@ -68,7 +72,8 @@ def frame_sequences(draw):
     frames = []
     previous = None
     for _ in range(count):
-        kind = draw(st.sampled_from(["noise", "repeat", "patch"]))
+        kind = draw(st.sampled_from(["noise", "repeat", "patch",
+                                     "block"]))
         if kind == "repeat" and previous is not None:
             frame = previous.copy()
         elif kind == "patch" and previous is not None:
@@ -76,6 +81,14 @@ def frame_sequences(draw):
             y = int(rng.integers(0, height))
             x = int(rng.integers(0, width))
             frame[y, x] = rng.integers(0, 256, 3, dtype=np.uint8)
+        elif kind == "block" and previous is not None:
+            # A grey rectangle: runs long enough for RLE to win.
+            frame = previous.copy()
+            y0 = int(rng.integers(0, height))
+            x0 = int(rng.integers(0, width))
+            y1 = int(rng.integers(y0 + 1, height + 1))
+            x1 = int(rng.integers(x0 + 1, width + 1))
+            frame[y0:y1, x0:x1] = rng.integers(0, 256, dtype=np.uint8)
         else:
             frame = rng.integers(0, 256, (height, width, 3),
                                  dtype=np.uint8)
@@ -145,6 +158,77 @@ class TestFrameDelta:
         canvas = a.copy()
         record.apply(canvas)
         assert np.array_equal(canvas, b)
+
+
+class TestEncoderMatchesReference:
+    """The one-pass encoder emits the reference's records exactly."""
+
+    @given(seq=frame_sequences())
+    @settings(deadline=None, max_examples=150)
+    def test_every_record_equal(self, seq):
+        width, height, frames = seq
+        previous = np.zeros((height, width, 3), dtype=np.uint8)
+        for index, frame in enumerate(frames):
+            time = float(index + 1)
+            assert (encode_frame_delta(time, previous, frame)
+                    == reference_encode_frame_delta(time, previous,
+                                                    frame))
+            previous = frame
+
+    @staticmethod
+    def check(previous, current):
+        record = encode_frame_delta(1.0, previous, current)
+        assert record == reference_encode_frame_delta(1.0, previous,
+                                                      current)
+        return record
+
+    def test_one_pixel_region(self):
+        previous = np.zeros((5, 7, 3), dtype=np.uint8)
+        for pixel in ((9, 9, 9), (1, 2, 3)):
+            current = previous.copy()
+            current[2, 3] = pixel
+            record = self.check(previous, current)
+            # 3 bytes never shrink under 3-byte pairs.
+            assert record.rect == (2, 3, 3, 4) and record.raw
+
+    def test_tie_three_runs_equals_nbytes_is_raw(self):
+        # Two grey pixels of different levels: 2 runs, 6 bytes, so
+        # RLE would be exactly as large as the raw rect.
+        previous = np.zeros((1, 2, 3), dtype=np.uint8)
+        current = np.array([[[4, 4, 4], [5, 5, 5]]], dtype=np.uint8)
+        record = self.check(previous, current)
+        assert record.raw and len(record.payload) == 6
+
+    def test_one_run_below_tie_is_rle(self):
+        previous = np.zeros((1, 2, 3), dtype=np.uint8)
+        current = np.full((1, 2, 3), 4, dtype=np.uint8)
+        record = self.check(previous, current)
+        assert not record.raw and len(record.payload) == 3
+
+    def test_split_long_run_tips_rle_into_raw(self):
+        # 3 * runs == nbytes - 3 passes the run-count test, but the
+        # 65536-byte opening run splits into two pairs, so the pairs
+        # total exactly nbytes and the rect is stored raw.
+        height, width = 200, 200
+        nbytes = height * width * 3
+        runs = nbytes // 3 - 1
+        tail = nbytes - 65536
+        lengths = np.ones(runs - 1, dtype=np.int64)
+        lengths[:tail - (runs - 1)] = 2
+        values = np.resize(np.array([1, 2], dtype=np.uint8), runs - 1)
+        flat = np.concatenate((np.zeros(65536, dtype=np.uint8),
+                               np.repeat(values, lengths)))
+        current = flat.reshape(height, width, 3)
+        previous = np.full_like(current, 255)
+        record = self.check(previous, current)
+        assert record.raw and len(record.payload) == nbytes
+
+    def test_uniform_frame_splits_into_rle(self):
+        previous = np.zeros((256, 256, 3), dtype=np.uint8)
+        current = np.full_like(previous, 7)
+        record = self.check(previous, current)
+        # 196,608 bytes: three full 65,535-byte pairs and a 3-byte one.
+        assert not record.raw and len(record.payload) == 12
 
 
 # --------------------------------------------------------------------
@@ -364,6 +448,17 @@ class TestPipelineIntegration:
 # --------------------------------------------------------------------
 
 class TestGoldenFixture:
+    def test_reencoding_reproduces_committed_bytes(self, tmp_path):
+        golden = DATA_DIR / "golden.rptrace"
+        trace = load_trace(golden)
+        builder = TraceBuilder(trace.width, trace.height)
+        for time, pixels in trace.frames():
+            builder.add_frame(time, pixels)
+        again = builder.build(trace.duration_s, aux=trace.aux,
+                              meta=trace.meta)
+        path = save_trace(again, tmp_path / "golden.rptrace")
+        assert path.read_bytes() == golden.read_bytes()
+
     def test_golden_replay_matches_committed_summary(self):
         golden = DATA_DIR / "golden.rptrace"
         expected = json.loads(
@@ -371,3 +466,37 @@ class TestGoldenFixture:
         result = run_session(replay_config(golden))
         summary = json_sanitize(session_summary_dict(result))
         assert summary == expected
+
+
+# --------------------------------------------------------------------
+# The trace workload's cached profile
+# --------------------------------------------------------------------
+
+class TestTraceProfileMemo:
+    @staticmethod
+    def rewrite(trace, path, profile):
+        meta = dict(trace.meta, profile=profile)
+        save_trace(FrameTrace(trace.width, trace.height, trace.duration_s,
+                              trace.records, aux=trace.aux, meta=meta),
+                   path)
+
+    def test_rewrite_with_new_profile_is_seen(self, tmp_path):
+        trace = synthetic_trace("idle", duration_s=2.0)
+        path = tmp_path / "idle.rptrace"
+        save_trace(trace, path)
+        workload = TraceProfile(str(path))
+        old = workload.as_app_profile()
+        assert workload.as_app_profile() is old
+        # Same length, so the file size cannot tell the two apart.
+        renamed = dict(trace.meta["profile"], name=old.name.upper())
+        self.rewrite(trace, path, renamed)
+        assert workload.as_app_profile().name == old.name.upper()
+
+    def test_undecodable_profile_raises_every_call(self, tmp_path):
+        trace = synthetic_trace("idle", duration_s=2.0)
+        path = tmp_path / "bad.rptrace"
+        self.rewrite(trace, path, {"bogus": 1})
+        workload = TraceProfile(str(path))
+        for _ in range(2):
+            with pytest.raises(TraceError, match="undecodable"):
+                workload.as_app_profile()
