@@ -396,25 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="machine-readable status document")
     p_status.set_defaults(func=cmd_status)
 
-    p_texp = sub.add_parser(
-        "trace-export",
-        help="export a service journal (and optionally a telemetry "
-             "JSONL stream) as Chrome trace-event JSON loadable in "
-             "Perfetto / chrome://tracing")
-    p_texp.add_argument("--state-dir", default=None, metavar="DIR",
-                        help="service state directory whose journal "
-                             "to export")
-    p_texp.add_argument("--job", action="append", default=None,
-                        metavar="JOB_ID",
-                        help="restrict the export to this job "
-                             "(repeatable; default: all jobs)")
-    p_texp.add_argument("--telemetry", default=None, metavar="PATH",
-                        help="also fold in a session telemetry JSONL "
-                             "stream (span slices + instants)")
-    p_texp.add_argument("--out", required=True, metavar="PATH",
-                        help="trace JSON to write ('-' for stdout)")
-    p_texp.set_defaults(func=cmd_trace_export)
-
     p_drain = sub.add_parser(
         "drain", help="ask a running service to finish every queued "
                       "job and exit (or --stop to park and exit now)")
@@ -1040,17 +1021,14 @@ def cmd_submit(args: argparse.Namespace) -> int:
         next_submit_seq,
         submit_job,
     )
-    from .telemetry.tracing import mint_trace_id
     spec_document = _submit_spec_document(args)
     job_id = args.job_id or job_id_for_spec(spec_document)
-    submitted_seq = next_submit_seq(args.state_dir)
     job = JobRequest(
         job_id=job_id, spec=spec_document,
         deadline_s=args.deadline,
-        submitted_seq=submitted_seq,
-        trace_id=mint_trace_id(job_id, submitted_seq))
+        submitted_seq=next_submit_seq(args.state_dir))
     path = submit_job(args.state_dir, job)
-    print(f"submitted {job_id} -> {path} (trace {job.trace_id})")
+    print(f"submitted {job_id} -> {path}")
     return 0
 
 
@@ -1093,54 +1071,6 @@ def cmd_status(args: argparse.Namespace) -> int:
                  entry.get("error_type") or ""]
                 for entry in status["jobs"]]
         print(format_table(["job", "status", "error"], rows))
-    return 0
-
-
-def cmd_trace_export(args: argparse.Namespace) -> int:
-    import json
-    import sys
-
-    from .telemetry.tracing import (
-        chrome_trace_document,
-        journal_trace_events,
-        telemetry_trace_events,
-        write_chrome_trace,
-    )
-    if args.state_dir is None and args.telemetry is None:
-        raise ConfigurationError(
-            "trace-export needs --state-dir and/or --telemetry")
-    events: list = []
-    metadata: dict = {}
-    if args.state_dir is not None:
-        from .service.jobs import ServicePaths
-        from .service.journal import read_journal
-        paths = ServicePaths(args.state_dir)
-        state = read_journal(paths.journal_path)
-        events.extend(journal_trace_events(
-            state.records, job_ids=args.job or None))
-        metadata["journal_records"] = len(state.records)
-        metadata["state_dir"] = str(paths.state_dir)
-    if args.telemetry is not None:
-        from .telemetry.stats import parse_jsonl
-        events.extend(telemetry_trace_events(
-            parse_jsonl(args.telemetry), pid=0))
-        metadata["telemetry_stream"] = args.telemetry
-    trace_ids = sorted({
-        event["args"]["trace_id"] for event in events
-        if isinstance(event.get("args"), dict)
-        and "trace_id" in event["args"]})
-    metadata["trace_ids"] = trace_ids
-    generations = sum(1 for event in events
-                      if event.get("name") == "service_start")
-    document = chrome_trace_document(events, metadata=metadata)
-    if args.out == "-":
-        sys.stdout.write(json.dumps(document, sort_keys=True) + "\n")
-    else:
-        write_chrome_trace(args.out, document)
-        print(f"wrote {args.out}: {len(events)} trace events, "
-              f"{len(trace_ids)} trace id(s), "
-              f"{generations} service generation(s)")
-        print("open in https://ui.perfetto.dev or chrome://tracing")
     return 0
 
 

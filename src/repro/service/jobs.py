@@ -46,8 +46,7 @@ RESULT_SCHEMA = "repro-result/1"
 _JOB_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,99}$")
 
 _JOB_REQUIRED = ("schema", "job_id", "spec")
-_JOB_ALLOWED = _JOB_REQUIRED + ("deadline_s", "submitted_seq",
-                                "trace_id")
+_JOB_ALLOWED = _JOB_REQUIRED + ("deadline_s", "submitted_seq")
 
 
 class JobStatus:
@@ -82,20 +81,12 @@ class JobRequest:
     record instead of being invisible.  ``submitted_seq`` is a
     client-side monotonic hint used only for deterministic scheduling
     order; ties (and absent values) fall back to ``job_id`` order.
-
-    ``trace_id`` scopes the job's whole life — journal records,
-    checkpoint documents, Perfetto export — to one timeline.  It is
-    optional on the wire: when absent, the service mints the same
-    deterministic ID :func:`repro.telemetry.tracing.mint_trace_id`
-    derives from ``(job_id, submitted_seq)``, so old job files and
-    post-crash re-ingests land on the identical trace.
     """
 
     job_id: str
     spec: Dict[str, Any]
     deadline_s: Optional[float] = None
     submitted_seq: int = 0
-    trace_id: Optional[str] = None
 
     def __post_init__(self) -> None:
         validate_job_id(self.job_id)
@@ -112,16 +103,6 @@ class JobRequest:
                 f"job {self.job_id}: deadline_s must be a positive "
                 f"number, got {self.deadline_s!r}",
                 context={"subsystem": "service", "job_id": self.job_id})
-        if self.trace_id is not None:
-            from ..telemetry.tracing import validate_trace_id
-            try:
-                validate_trace_id(self.trace_id)
-            except Exception:
-                raise ServiceError(
-                    f"job {self.job_id}: malformed trace_id "
-                    f"{self.trace_id!r} (want 8..64 lowercase hex)",
-                    context={"subsystem": "service",
-                             "job_id": self.job_id}) from None
 
     def to_json_dict(self) -> Dict[str, Any]:
         """The ``repro-job/1`` document."""
@@ -133,8 +114,6 @@ class JobRequest:
         }
         if self.deadline_s is not None:
             document["deadline_s"] = float(self.deadline_s)
-        if self.trace_id is not None:
-            document["trace_id"] = self.trace_id
         return document
 
     @classmethod
@@ -168,8 +147,7 @@ class JobRequest:
                 context={"subsystem": "service", "where": where})
         return cls(job_id=data["job_id"], spec=data["spec"],
                    deadline_s=data.get("deadline_s"),
-                   submitted_seq=seq,
-                   trace_id=data.get("trace_id"))
+                   submitted_seq=seq)
 
     def sort_key(self):
         """Deterministic scheduling order: submit sequence, then id."""

@@ -14,9 +14,8 @@ Record shape::
     {"op": "job_done", "job_id": "...", "seq": 17, ...}
 
 ``seq`` increases monotonically within one journal; extra fields are
-operation-specific.  No wall-clock timestamps by default — callers that
-want them pass ``wall_time_s`` explicitly, keeping deterministic tests
-byte-stable.
+operation-specific.  Records carry no wall-clock timestamps, so
+deterministic tests stay byte-stable.
 """
 
 from __future__ import annotations
@@ -111,11 +110,6 @@ class JournalState:
     @property
     def bad_lines(self) -> int:
         return self.damage.bad_lines
-
-    def ops_for(self, job_id: str) -> List[Dict[str, Any]]:
-        """Records mentioning one job, file order."""
-        return [record for record in self.records
-                if record.get("job_id") == job_id]
 
     def count(self, op: str,
               job_id: Optional[str] = None) -> int:

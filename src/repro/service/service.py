@@ -51,7 +51,6 @@ from ..sim.batch import make_failure_record, summarize_result
 from ..sim.runner import SessionRunner, resume_from_file
 from ..telemetry.metrics import MetricsRegistry, merge_snapshots
 from ..telemetry.profiling import SPAN_BUCKET_EDGES_S
-from ..telemetry.tracing import mint_trace_id
 from .breaker import BreakerState, CircuitBreaker
 from .jobs import (
     JobRequest,
@@ -220,7 +219,6 @@ class SessionService:
         self._journal_damage: Dict[str, Any] = {"torn_tail": False,
                                                 "bad_lines": 0}
         self._started_at = 0.0
-        self._trace_ids: Dict[str, str] = {}
         #: Content-addressed result cache (``None``: caching off).
         #: Shares the service metrics registry so its ``cache.*``
         #: counters ride the same ``health.json`` snapshot.
@@ -468,7 +466,6 @@ class SessionService:
                 continue
             new_jobs.append(job)
         for job in sorted(new_jobs, key=JobRequest.sort_key):
-            self._register_trace(job)
             if not self.breaker.allow():
                 self._count("service.jobs_rejected")
                 self._journal_op("job_rejected", job_id=job.job_id,
@@ -500,18 +497,7 @@ class SessionService:
             shard.queue.put_nowait(job)
         self._pending = still_waiting
 
-    def _register_trace(self, job: JobRequest) -> str:
-        """The job's trace ID — carried on the job file, or minted
-        deterministically so every process generation agrees."""
-        trace_id = self._trace_ids.get(job.job_id)
-        if trace_id is None:
-            trace_id = job.trace_id or mint_trace_id(
-                job.job_id, job.submitted_seq)
-            self._trace_ids[job.job_id] = trace_id
-        return trace_id
-
     def _admit(self, job: JobRequest, shard: _Shard) -> None:
-        self._register_trace(job)
         self._known[job.job_id] = JobStatus.PENDING
         self._count("service.jobs_ingested")
         self._journal_op("job_ingested", job_id=job.job_id,
@@ -625,7 +611,6 @@ class SessionService:
                     missing_ok=True)
                 return False
         runner = self._build_runner(job)
-        trace_id = self._register_trace(job)
         deadline_s = job.deadline_s or config.default_deadline_s
         deadline_at = (time.monotonic() + deadline_s
                        if deadline_s is not None else None)
@@ -655,7 +640,7 @@ class SessionService:
                 checkpoint_t0 = time.perf_counter()
                 runner.save_checkpoint(
                     self.paths.checkpoint_path(job.job_id),
-                    job_id=job.job_id, trace_id=trace_id)
+                    job_id=job.job_id)
                 shard.metrics.histogram(
                     "span.service_checkpoint_seconds",
                     SPAN_BUCKET_EDGES_S).observe(
@@ -735,8 +720,7 @@ class SessionService:
         try:
             runner.save_checkpoint(
                 self.paths.checkpoint_path(job.job_id),
-                job_id=job.job_id,
-                trace_id=self._register_trace(job))
+                job_id=job.job_id)
         except CheckpointError:
             # Not spec-expressible (cannot happen for spooled jobs,
             # which by construction came from a spec) — parking just
@@ -778,19 +762,9 @@ class SessionService:
         self.metrics.counter(name).inc(amount)
 
     def _journal_op(self, op: str, **fields: Any) -> None:
-        """Journal one op, stamped with a wall clock and — for job
-        ops — the job's trace ID, so ``repro trace-export`` can fold
-        the journal into a real-time Perfetto timeline.  The journal
-        module itself stays clock-free; the stamps ride as the extra
-        fields readers already tolerate."""
+        """Journal one op; a no-op before the journal opens."""
         if self.journal is None:
             return
-        job_id = fields.get("job_id")
-        if isinstance(job_id, str) and "trace_id" not in fields:
-            trace_id = self._trace_ids.get(job_id)
-            if trace_id is not None:
-                fields["trace_id"] = trace_id
-        fields.setdefault("wall_s", round(time.time(), 6))
         self.journal.append(op, **fields)
 
     def status_summary(self) -> Dict[str, Any]:

@@ -32,8 +32,7 @@ Checkpoint document (``repro-checkpoint/1``, written atomically)::
       "sim_time_s": 12.35,
       "events_processed": 48211,
       "digest": "sha256:...",
-      "job_id": "batch-007",         # optional service annotation
-      "trace_id": "9f2c..."          # optional trace correlation
+      "job_id": "batch-007"          # optional service annotation
     }
 
 No wall-clock fields — the same session checkpointed at the same sim
@@ -67,7 +66,7 @@ CHECKPOINT_SCHEMA = "repro-checkpoint/1"
 _REQUIRED_KEYS = ("schema", "spec", "sim_time_s", "events_processed",
                   "digest")
 #: Keys a checkpoint document may carry.
-_ALLOWED_KEYS = _REQUIRED_KEYS + ("job_id", "trace_id")
+_ALLOWED_KEYS = _REQUIRED_KEYS + ("job_id",)
 
 
 class SessionRunner:
@@ -303,10 +302,8 @@ class SessionRunner:
                                       dtype="<f8").tobytes())
         return "sha256:" + sha.hexdigest()
 
-    def checkpoint_document(self,
-                            job_id: Optional[str] = None,
-                            trace_id: Optional[str] = None,
-                            ) -> Dict[str, Any]:
+    def checkpoint_document(
+            self, job_id: Optional[str] = None) -> Dict[str, Any]:
         """The ``repro-checkpoint/1`` document for the current state.
 
         Requires a spec-expressible config (the checkpoint must carry
@@ -346,16 +343,12 @@ class SessionRunner:
         }
         if job_id is not None:
             document["job_id"] = job_id
-        if trace_id is not None:
-            document["trace_id"] = trace_id
         return document
 
     def save_checkpoint(self, path: PathLike,
-                        job_id: Optional[str] = None,
-                        trace_id: Optional[str] = None) -> pathlib.Path:
+                        job_id: Optional[str] = None) -> pathlib.Path:
         """Write the checkpoint document atomically to ``path``."""
-        return atomic_write_json(
-            path, self.checkpoint_document(job_id, trace_id=trace_id))
+        return atomic_write_json(path, self.checkpoint_document(job_id))
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ Cheap whole-repo guards: every Python file (library, tests,
 benchmarks, examples) byte-compiles; every example is an executable
 script with a ``main``; the public API surface in ``__all__`` actually
 resolves; the benchmark files referenced by the experiment registry
-exist on disk.
+exist on disk; the docs and CI name only live `repro` subcommands.
 """
 
 import pathlib
@@ -105,6 +105,30 @@ class TestDocumentation:
             module_name = module_name.replace(".__init__", "")
             module = importlib.import_module(module_name)
             assert module.__doc__, module_name
+
+    def test_docs_and_ci_name_only_live_subcommands(self):
+        # History files (CHANGES.md, CHANGELOG.md, ROADMAP.md) may name
+        # retired commands; everything a reader runs from may not.
+        import argparse
+        import re
+
+        from repro.cli import build_parser
+        (subparsers,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)]
+        live = set(subparsers.choices)
+        sources = [REPO_ROOT / name for name in (
+            "README.md", "DESIGN.md", "EXPERIMENTS.md",
+            "CONTRIBUTING.md", ".github/workflows/ci.yml")]
+        sources += sorted((REPO_ROOT / "docs").glob("*.md")) + EXAMPLES
+        pattern = re.compile(
+            r"(?:python -m repro|`repro)\s+([a-z][a-z0-9-]*)")
+        stale = [
+            f"{path.relative_to(REPO_ROOT)}: repro {word}"
+            for path in sources
+            for word in pattern.findall(path.read_text())
+            if word not in live]
+        assert not stale, stale
 
 
 class TestSaltGuard:

@@ -209,17 +209,6 @@ class TestJournal:
         assert state.bad_lines == 1
         assert not state.torn_tail
 
-    def test_ops_for_filters_by_job(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = Journal(path, fsync=False)
-        journal.append("job_ingested", job_id="a")
-        journal.append("job_ingested", job_id="b")
-        journal.append("job_done", job_id="a")
-        journal.close()
-        state = read_journal(path)
-        assert [r["op"] for r in state.ops_for("a")] == \
-            ["job_ingested", "job_done"]
-
 
 # ----------------------------------------------------------------------
 # Circuit breaker
