@@ -23,7 +23,7 @@ All output is plain text; every command is deterministic for a given
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .analysis.export import (
     write_events_csv,

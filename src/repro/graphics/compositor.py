@@ -79,6 +79,15 @@ StackRects = Tuple[Tuple[int, int, int, int], ...]
 #: before the rest.
 _HEAD_FRACTION = 64
 
+#: Bytes of the lead read before the head, used when at most a quarter
+#: of the head.
+_LEAD_BYTES = 512
+
+#: Bytes of the first piece after the head; each next piece is
+#: _PIECE_GROWTH times longer.
+_PIECE_BYTES = 256 * 1024
+_PIECE_GROWTH = 8
+
 
 def _word_dtype(nbytes: int) -> np.dtype:
     """The widest unsigned word whose size divides ``nbytes``."""
@@ -86,6 +95,31 @@ def _word_dtype(nbytes: int) -> np.dtype:
         if nbytes % np.dtype(dtype).itemsize == 0:
             return np.dtype(dtype)
     return np.dtype(np.uint8)
+
+
+def _compare_stops(nbytes: int) -> Tuple[int, ...]:
+    """Word offsets ending each read of the ground-truth compare.
+
+    A 512-byte lead when it is at most a quarter of the head, then the
+    head (the first 1/_HEAD_FRACTION of the words), then the rest in
+    pieces of at least 256 KiB, each 8x the one before.  Offsets are
+    strictly increasing and the last is the frame's word count.
+    """
+    itemsize = _word_dtype(nbytes).itemsize
+    words = nbytes // itemsize
+    head = words // _HEAD_FRACTION
+    lead = _LEAD_BYTES // itemsize
+    stops = [lead] if 4 * lead <= head else []
+    if head:
+        stops.append(head)
+    piece = _PIECE_BYTES // itemsize
+    stop = head + piece
+    while stop < words:
+        stops.append(stop)
+        piece *= _PIECE_GROWTH
+        stop += piece
+    stops.append(words)
+    return tuple(stops)
 
 
 class SurfaceManager:
@@ -106,11 +140,10 @@ class SurfaceManager:
         # The rects of a stack that is one full-screen surface.
         self._screen_rects: StackRects = (
             (0, 0, framebuffer.height, framebuffer.width),)
-        # Ground truth compares frames as words of this dtype, reading
-        # the first _head words before the rest.
+        # Ground truth compares frames as words of this dtype, one read
+        # ending at each of the _stops word offsets.
         self._word = _word_dtype(self._previous.nbytes)
-        self._head = (self._previous.nbytes // self._word.itemsize
-                      // _HEAD_FRACTION)
+        self._stops = _compare_stops(self._previous.nbytes)
         self._compositions = 0
         self._redundant_compositions = 0
         self._listeners: List[CompositionListener] = []
@@ -300,15 +333,19 @@ class SurfaceManager:
     def _frames_equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         """Byte equality of two frames, compared a word at a time.
 
-        The leading ``_head`` words are compared first and the rest only
-        if they agree: the verdict is ``np.array_equal``'s, but frames
-        that differ early are rejected after a fraction of the reads.
+        The words are read in the stages ``_stops`` ends, each only if
+        the ones before agree: the verdict is ``np.array_equal``'s, but
+        frames that differ early are rejected after a fraction of the
+        reads.
         """
         a_words = a.reshape(-1).view(self._word)
         b_words = b.reshape(-1).view(self._word)
-        head = self._head
-        return bool(np.array_equal(a_words[:head], b_words[:head])
-                    and np.array_equal(a_words[head:], b_words[head:]))
+        start = 0
+        for stop in self._stops:
+            if not np.array_equal(a_words[start:stop], b_words[start:stop]):
+                return False
+            start = stop
+        return True
 
     def _framebuffer_current(self) -> bool:
         """True while the framebuffer holds this compositor's last

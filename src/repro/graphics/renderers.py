@@ -31,6 +31,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..units import ensure_non_negative_int, ensure_positive_int
+from .compositor import _word_dtype
 from .surface import Surface, fill_rect
 
 
@@ -137,18 +138,35 @@ class FullScreenVideoRenderer(Renderer):
 
     def __init__(self, block_px: int = 16) -> None:
         self.block_px = ensure_positive_int(block_px, "block_px")
+        # A block's run along x is one colour repeated block_px times,
+        # 3 * block_px bytes.  Written as the widest words that divide
+        # it, each word is the colour times a fixed mask: _run_mask[c]
+        # holds a 1 in every byte of the run that channel c fills.
+        # Each byte takes one channel, so the product has no carries.
+        run = np.arange(3 * self.block_px) % 3
+        word = _word_dtype(run.size)
+        self._run_mask = np.stack(
+            [(run == c).astype(np.uint8).view(word) for c in range(3)])
 
     def render(self, surface: Surface, rng: np.random.Generator) -> None:
         h, w, b = surface.height, surface.width, self.block_px
         bh = (h + b - 1) // b
         bw = (w + b - 1) // b
-        blocks = rng.integers(0, 256, size=(bh, bw, 3), dtype=np.uint8)
-        # Expand along x only (1/b of a frame), then copy each block
-        # row into its b screen rows through a (rows, b, w, 3) view
-        # (surface pixels are C-contiguous, so the reshape is a view).
-        # Every pixel is assigned, so the surface's previous frame
-        # need not be restored first.
-        rows = np.repeat(blocks, b, axis=1)[:, :w]
+        # The cheapest call drawing the stream of
+        # rng.integers(0, 256, size=(bh, bw, 3), dtype=np.uint8): each
+        # 32-bit word yields four bytes, low byte first
+        # (tests/test_draw_streams.py).
+        n = bh * bw * 3
+        blocks = rng.integers(0, 1 << 32, size=(n + 3) // 4,
+                              dtype=np.uint32).view(np.uint8)[:n]
+        # Expand along x only (1/b of a frame), a block's run at a
+        # time, then copy each block row into its b screen rows through
+        # a (rows, b, w, 3) view (surface pixels are C-contiguous, so
+        # the reshape is a view).  Every pixel is assigned, so the
+        # surface's previous frame need not be restored first.
+        mask = self._run_mask
+        runs = blocks.reshape(bh * bw, 3).astype(mask.dtype) @ mask
+        rows = runs.view(np.uint8).reshape(bh, bw * b, 3)[:, :w]
         px = surface.overwrite_pixels()
         full = h // b
         px[:full * b].reshape(full, b, w, 3)[...] = rows[:full, np.newaxis]

@@ -24,8 +24,6 @@ the V-Sync throttling a live application experiences.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..apps.base import Application
 from ..apps.profile import AppProfile
 from ..errors import TraceError

@@ -15,6 +15,11 @@ delta encoder: the straightforward two-pass form (a per-pixel change
 mask, then a full RLE encode of the dirty rect whatever its content)
 that :func:`repro.traces.format.encode_frame_delta` must match record
 for record.
+
+:func:`render_video_frame` is the specification of
+:meth:`repro.graphics.renderers.FullScreenVideoRenderer.render`: one
+``uint8`` block draw, expanded to the screen by ``np.repeat``, that the
+renderer must match pixel for pixel and in generator state.
 """
 
 import contextlib
@@ -24,6 +29,8 @@ import numpy as np
 import pytest
 
 from repro.graphics.compositor import SurfaceManager
+from repro.graphics.renderers import FullScreenVideoRenderer
+from repro.graphics.surface import Surface
 from repro.sim.fastforward import FastForward
 from repro.traces.format import FrameRecord, rle_encode
 
@@ -61,3 +68,15 @@ def encode_frame_delta(time: float, previous: np.ndarray,
                            payload=rle)
     return FrameRecord(time=time, rect=(y0, x0, y1, x1), raw=True,
                        payload=region.tobytes())
+
+
+def render_video_frame(renderer: FullScreenVideoRenderer, surface: Surface,
+                       rng: np.random.Generator) -> None:
+    """One video frame: a random colour per ``block_px`` square."""
+    h, w, b = surface.height, surface.width, renderer.block_px
+    bh = (h + b - 1) // b
+    bw = (w + b - 1) // b
+    blocks = rng.integers(0, 256, size=(bh, bw, 3), dtype=np.uint8)
+    rows = np.repeat(blocks, b, axis=1)[:, :w]
+    surface.pixels[:] = np.repeat(rows, b, axis=0)[:h]
+    surface.mark_damaged()

@@ -23,8 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graphics.compositor import (_HEAD_FRACTION, SurfaceManager,
-                                       _word_dtype)
+from repro.graphics.compositor import SurfaceManager, _word_dtype
 from repro.graphics.framebuffer import Framebuffer
 from repro.graphics.surface import Surface, fill_rect
 
@@ -164,21 +163,40 @@ def test_moving_a_surface_defeats_the_fast_path():
 
 
 @pytest.mark.parametrize("width, height", [
-    (1, 1), (2, 3), (8, 6), (7, 5), (40, 30), (160, 90)])
+    (1, 1), (2, 3), (8, 6), (7, 5), (40, 30), (160, 90), (720, 1280)])
 def test_early_exit_compare_equals_array_equal(width, height):
-    # One flipped byte at each edge of the leading slice, the middle
-    # and both ends of the frame, and no flip at all.
+    # One flipped byte on each side of every stage boundary, in the
+    # middle and at both ends of the frame, and no flip at all.
     comp = SurfaceManager(Framebuffer(width, height))
     rng = np.random.default_rng(width * height)
     a = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
     nbytes = a.nbytes
     word = _word_dtype(nbytes).itemsize
-    head_bytes = nbytes // word // _HEAD_FRACTION * word
-    positions = {0, nbytes // 2, nbytes - 1, max(head_bytes - 1, 0),
-                 min(head_bytes, nbytes - 1)}
+    positions = {0, nbytes // 2, nbytes - 1}
+    for stop in comp._stops:
+        positions |= {stop * word - 1, min(stop * word, nbytes - 1)}
     assert comp._frames_equal(a, a.copy())
     for position in sorted(positions):
         b = a.copy()
         b.reshape(-1)[position] ^= 0x80
         assert not np.array_equal(a, b)
         assert not comp._frames_equal(a, b), position
+
+
+def test_compare_reads_a_small_frame_in_two(monkeypatch):
+    # A 160x90 frame differing after the head costs exactly the head
+    # read and one read of the rest.
+    comp = SurfaceManager(Framebuffer(160, 90))
+    a = np.zeros((90, 160, 3), dtype=np.uint8)
+    b = a.copy()
+    b[-1, -1, -1] = 1
+    calls = []
+    array_equal = np.array_equal
+
+    def counted(x, y):
+        calls.append((x.size, y.size))
+        return array_equal(x, y)
+
+    monkeypatch.setattr(np, "array_equal", counted)
+    assert not comp._frames_equal(a, b)
+    assert calls == [(84, 84), (5316, 5316)]

@@ -10,6 +10,10 @@ same stream").  That equivalence rests on numpy internals:
 * a full-range ``uint8`` draw of size 3 takes one ``next_uint32`` and
   returns its low three bytes, low byte first; a full-range 32-bit
   ``integers(0, 1 << 32)`` returns that ``next_uint32`` as it is;
+* a full-range ``uint8`` draw of ``n`` bytes takes ``ceil(n / 4)``
+  ``next_uint32`` words and returns their bytes, low byte first, so
+  it is the first ``n`` bytes of a full-range 32-bit draw of that many
+  words;
 * ``choice(a, size)`` with replacement and no ``p`` draws
   ``integers(0, len(a), size)`` and indexes ``a`` with it.
 
@@ -128,6 +132,22 @@ class TestColourRow:
                 fill_rect(new_px, row, row + 1, 0, 4, _draw_colour(b))
             assert np.array_equal(old_px, new_px)
             assert _same_state(a, b)
+
+
+class TestBlockRow:
+    def test_uint8_blocks_are_uint32_bytes(self):
+        buffered: List[int] = []
+        for seed in SEEDS:
+            a, b = _pair(seed)
+            for n in (7, 180, 10800, 1, 3, 4, 5, 8):
+                old = a.integers(0, 256, size=n, dtype=np.uint8)
+                new = b.integers(0, 1 << 32, size=(n + 3) // 4,
+                                 dtype=np.uint32).view(np.uint8)[:n]
+                assert np.array_equal(old, new)
+                assert old.dtype == new.dtype and old.shape == new.shape
+                assert _same_state(a, b)
+                _buffer_step(a, b, buffered)
+        assert set(buffered) == {0, 1}
 
 
 class TestChoiceRow:

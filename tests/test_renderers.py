@@ -14,6 +14,8 @@ from repro.graphics.renderers import (
 )
 from repro.graphics.surface import Surface, fill_rect
 
+from .reference import render_video_frame
+
 
 @pytest.fixture
 def surface():
@@ -89,6 +91,26 @@ class TestFullScreenVideoRenderer:
         first = surface.pixels.copy()
         r.render(surface, rng)
         assert changed_pixels(first, surface.pixels) > 0
+
+    @pytest.mark.parametrize("block_px", [*range(1, 21), 2000])
+    @pytest.mark.parametrize("size", [(1, 1), (37, 23), (90, 160),
+                                      (720, 1280)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matches_reference(self, size, block_px):
+        # Pixels and generator state equal the np.repeat specification.
+        width, height = size
+        renderer = FullScreenVideoRenderer(block_px=block_px)
+        for seed in (0, 1, 7):
+            fast, spec = Surface(width, height), Surface(width, height)
+            fast.pixels[:] = spec.pixels[:] = seed
+            fast_rng = np.random.default_rng(seed)
+            spec_rng = np.random.default_rng(seed)
+            for _ in range(2):
+                renderer.render(fast, fast_rng)
+                render_video_frame(renderer, spec, spec_rng)
+                assert np.array_equal(fast.pixels, spec.pixels)
+                assert (fast_rng.bit_generator.state
+                        == spec_rng.bit_generator.state)
 
 
 class TestSmallRegionRenderer:

@@ -4,11 +4,14 @@ Cheap whole-repo guards: every Python file (library, tests,
 benchmarks, examples) byte-compiles; every example is an executable
 script with a ``main``; the public API surface in ``__all__`` actually
 resolves; the benchmark files referenced by the experiment registry
-exist on disk; the docs and CI name only live `repro` subcommands.
+exist on disk; the docs and CI name only live `repro` subcommands;
+no library module imports a name it never uses.
 """
 
+import ast
 import pathlib
 import py_compile
+import re
 
 import pytest
 
@@ -29,6 +32,44 @@ class TestCompilation:
         py_compile.compile(str(path),
                            cfile=str(tmp_path / "out.pyc"),
                            doraise=True)
+
+
+def _unused_imports(path: pathlib.Path) -> list:
+    """Names ``path`` imports and never reads.
+
+    An identifier inside a string constant counts as read, for quoted
+    annotations and ``__all__``; ``__future__`` imports are skipped.
+    """
+    tree = ast.parse(path.read_text())
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            used.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return [f"{path.relative_to(REPO_ROOT)}:{line}: {name}"
+            for name, line in sorted(imported.items()) if name not in used]
+
+
+class TestUnusedImports:
+    def test_every_library_import_is_used(self):
+        # Package __init__ modules import names to re-export them.
+        unused = [entry for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+                  if path.name != "__init__.py"
+                  for entry in _unused_imports(path)]
+        assert not unused, unused
 
 
 class TestExamples:
