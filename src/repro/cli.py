@@ -310,12 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "jobs, checkpoints, results)")
     p_serve.add_argument("--workers", type=int, default=2,
                          help="concurrent session workers (default 2)")
-    p_serve.add_argument("--shards", type=int, default=1,
-                         help="worker-pool shards, each with its own "
-                              "bounded queue (default 1)")
-    p_serve.add_argument("--queue-capacity", type=int, default=16,
-                         help="bounded queue capacity per shard "
-                              "(default 16)")
     p_serve.add_argument("--checkpoint-period", type=float,
                          default=5.0, metavar="SIM_S",
                          help="sim seconds of progress between "
@@ -335,13 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="WALL_S",
                          help="default per-job wall-clock deadline "
                               "(jobs may carry their own)")
-    p_serve.add_argument("--breaker-threshold", type=int, default=5,
-                         help="consecutive failures that open the "
-                              "circuit breaker (default 5)")
-    p_serve.add_argument("--breaker-cooldown", type=float,
-                         default=30.0, metavar="WALL_S",
-                         help="seconds the breaker stays open "
-                              "(default 30)")
     p_serve.add_argument("--until-idle", action="store_true",
                          help="exit once every known job is terminal "
                               "and no new jobs arrive (batch mode)")
@@ -967,23 +954,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         state_dir=args.state_dir,
         workers=args.workers,
-        shards=args.shards,
-        queue_capacity=args.queue_capacity,
         checkpoint_period_s=args.checkpoint_period,
         slice_s=args.slice,
         slice_sleep_s=args.slice_sleep,
         max_attempts=args.max_attempts,
         default_deadline_s=args.deadline,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown,
         until_idle=args.until_idle,
         max_runtime_s=args.max_runtime,
         fsync_journal=not args.no_fsync,
         cache_dir=args.cache,
     )
     service = SessionService(config)
-    print(f"serving {args.state_dir} "
-          f"(workers={args.workers}, shards={args.shards})",
+    print(f"serving {args.state_dir} (workers={args.workers})",
           file=sys.stderr)
     summary = asyncio.run(service.serve())
     jobs = summary["jobs"]
@@ -1054,7 +1036,6 @@ def cmd_status(args: argparse.Namespace) -> int:
     print(f"journal:        {journal['records']} records{damage}")
     health = status.get("health")
     if health:
-        breaker = health.get("breaker", {})
         if status.get("health_stale"):
             age = status.get("health_age_s")
             age_text = (f"{age:.1f}s ago"
@@ -1064,8 +1045,7 @@ def cmd_status(args: argparse.Namespace) -> int:
                   f"heartbeat older than 2x health period)")
         else:
             print(f"last health:    state={health.get('state')} "
-                  f"ready={health.get('ready')} "
-                  f"breaker={breaker.get('state')}")
+                  f"ready={health.get('ready')}")
     if status["jobs"]:
         rows = [[entry["job_id"], entry["status"],
                  entry.get("error_type") or ""]

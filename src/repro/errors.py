@@ -113,10 +113,9 @@ class CheckpointError(ServiceError):
 
 
 class ServiceUnavailableError(ServiceError):
-    """The service refused a job instead of hanging: the circuit breaker
-    is open (workers keep dying) or the bounded queue is full.  Carries
-    structured context (breaker state, queue depth) so callers can back
-    off intelligently."""
+    """The service refused an in-process submit because it is draining.
+    Carries structured context (job id, queue depth); the job can be
+    spooled again once the service restarts."""
 
 
 class FaultInjectionError(ReproError):

@@ -8,16 +8,13 @@ death:
   wire formats and the on-disk state-directory layout;
 * :mod:`repro.service.journal` — the append-only, crash-tolerant
   operations journal;
-* :mod:`repro.service.breaker` — the circuit breaker that sheds load
-  when workers keep dying;
-* :mod:`repro.service.service` — the asyncio service itself: sharded
-  workers, bounded queues, deadlines, retry with backoff, checkpointed
-  graceful shutdown, health reporting.
+* :mod:`repro.service.service` — the asyncio service itself: one FIFO
+  queue drained by worker tasks, deadlines, retry with backoff,
+  checkpointed graceful shutdown, health reporting.
 
 Architecture and failure matrix: ``docs/service.md``.
 """
 
-from .breaker import BreakerState, CircuitBreaker
 from .jobs import (
     JOB_SCHEMA,
     RESULT_SCHEMA,
@@ -29,8 +26,6 @@ from .journal import Journal, read_journal
 from .service import ServiceConfig, SessionService, submit_job
 
 __all__ = [
-    "BreakerState",
-    "CircuitBreaker",
     "JOB_SCHEMA",
     "Journal",
     "JobRequest",

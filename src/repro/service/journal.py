@@ -29,15 +29,16 @@ from ..ioutil import JsonlReadResult, append_jsonl_line, read_jsonl
 
 PathLike = Union[str, pathlib.Path]
 
-#: Known operation names (informational; unknown ops are tolerated on
-#: read so newer journals remain readable by older code).
+#: Operation names :meth:`Journal.append` accepts.  Reads tolerate any
+#: op, so a journal written by a newer or older version (one whose ops
+#: were added or retired since) stays readable.
 KNOWN_OPS = (
     "service_start", "service_stop",
     "job_ingested", "job_rejected",
     "attempt_start", "attempt_failed",
     "checkpoint_written", "checkpoint_invalid",
     "job_parked", "job_resumed", "job_done", "job_failed",
-    "recovery", "breaker_open", "breaker_closed",
+    "recovery",
 )
 
 

@@ -1,4 +1,4 @@
-"""The asyncio session service: durable queue, checkpoints, degradation.
+"""The asyncio session service: durable queue, checkpoints, graceful drain.
 
 One :class:`SessionService` owns a state directory
 (:class:`~repro.service.jobs.ServicePaths`) and runs submitted session
@@ -7,11 +7,10 @@ jobs to completion, surviving any crash:
 * Jobs arrive as atomic file drops in ``jobs/`` — written by
   :func:`submit_job` (works with no service running) or by the running
   service's :meth:`SessionService.submit`.
-* Sharded workers (plain asyncio tasks — sessions are CPU-bounded
-  slices, so cooperative stepping keeps the loop responsive without
-  threads) pull from bounded per-shard queues.  A full queue is
-  *backpressure*: spooled jobs simply wait on disk; in-process submits
-  fail fast with :class:`~repro.errors.ServiceUnavailableError`.
+* ``workers`` worker tasks (plain asyncio tasks — sessions are
+  CPU-bounded slices, so cooperative stepping keeps the loop responsive
+  without threads) pull from one FIFO queue, in
+  :meth:`~repro.service.jobs.JobRequest.sort_key` order.
 * Every job checkpoints periodically
   (:class:`~repro.sim.runner.SessionRunner` documents), so a SIGKILL
   at an arbitrary frame resumes — digest-verified — and produces a
@@ -19,11 +18,11 @@ jobs to completion, surviving any crash:
 * Failures retry with exponential backoff up to ``max_attempts``, then
   become structured failure records (the same
   :func:`~repro.sim.batch.make_failure_record` shape the batch engine
-  writes).  Consecutive failures trip a circuit breaker that rejects
-  *new* jobs with structured records instead of queueing behind a
-  dying fleet.
+  writes).  A job file the strict decoder refuses is terminalized as
+  ``rejected`` without running.
 * SIGTERM/SIGINT drain gracefully: in-flight jobs checkpoint and park,
-  queued jobs stay durable on disk, the service exits 0.
+  queued jobs stay durable on disk, the service exits 0; in-process
+  submits fail fast with :class:`~repro.errors.ServiceUnavailableError`.
 * Health/readiness snapshots (``health.json``, atomic) are fed by a
   :class:`~repro.telemetry.metrics.MetricsRegistry`.
 
@@ -38,7 +37,7 @@ import json
 import pathlib
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Union
 
 from ..errors import (
@@ -49,9 +48,8 @@ from ..errors import (
 from ..ioutil import atomic_write_json
 from ..sim.batch import make_failure_record, summarize_result
 from ..sim.runner import SessionRunner, resume_from_file
-from ..telemetry.metrics import MetricsRegistry, merge_snapshots
+from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.profiling import SPAN_BUCKET_EDGES_S
-from .breaker import BreakerState, CircuitBreaker
 from .jobs import (
     JobRequest,
     JobStatus,
@@ -84,8 +82,6 @@ class ServiceConfig:
 
     state_dir: str
     workers: int = 2
-    shards: int = 1
-    queue_capacity: int = 16
     slice_s: float = 1.0
     slice_sleep_s: float = 0.0
     checkpoint_period_s: float = 5.0
@@ -94,8 +90,6 @@ class ServiceConfig:
     backoff_base_s: float = 0.05
     backoff_max_s: float = 2.0
     default_deadline_s: Optional[float] = None
-    breaker_threshold: int = 5
-    breaker_cooldown_s: float = 30.0
     poll_period_s: float = 0.05
     health_period_s: float = 0.25
     fsync_journal: bool = True
@@ -109,28 +103,19 @@ class ServiceConfig:
     cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        for name, minimum in (("workers", 1), ("shards", 1),
-                              ("queue_capacity", 1),
-                              ("max_attempts", 1),
-                              ("max_slice_events", 1),
-                              ("breaker_threshold", 1)):
+        for name, minimum in (("workers", 1), ("max_attempts", 1),
+                              ("max_slice_events", 1)):
             if getattr(self, name) < minimum:
                 raise ServiceError(
                     f"{name} must be >= {minimum}, got "
                     f"{getattr(self, name)}",
                     context={"subsystem": "service", "field": name})
         for name in ("slice_s", "checkpoint_period_s",
-                     "poll_period_s", "health_period_s",
-                     "breaker_cooldown_s"):
+                     "poll_period_s", "health_period_s"):
             if getattr(self, name) <= 0:
                 raise ServiceError(
                     f"{name} must be > 0, got {getattr(self, name)}",
                     context={"subsystem": "service", "field": name})
-        if self.shards > self.workers:
-            raise ServiceError(
-                f"shards ({self.shards}) cannot exceed workers "
-                f"({self.workers})",
-                context={"subsystem": "service", "field": "shards"})
 
 
 def backoff_delay_s(attempt: int, base_s: float,
@@ -181,18 +166,6 @@ def next_submit_seq(state_dir: PathLike) -> int:
     return highest + 1
 
 
-@dataclass
-class _Shard:
-    """One worker pool: a bounded queue, worker tasks, and the shard's
-    own :class:`~repro.telemetry.metrics.MetricsRegistry` (merged
-    with the service registry in ``health.json``)."""
-
-    index: int
-    queue: "asyncio.Queue[JobRequest]"
-    workers: List["asyncio.Task"] = field(default_factory=list)
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-
-
 class SessionService:
     """The durable session service.  One instance per state directory.
 
@@ -205,13 +178,11 @@ class SessionService:
         self.config = config
         self.paths = ServicePaths(config.state_dir)
         self.metrics = MetricsRegistry()
-        self.breaker = CircuitBreaker(
-            failure_threshold=config.breaker_threshold,
-            cooldown_s=config.breaker_cooldown_s)
         self.journal: Optional[Journal] = None
-        self._shards: List[_Shard] = []
+        #: Built by :meth:`serve`, on its own event loop.
+        self._queue: Optional["asyncio.Queue[JobRequest]"] = None
+        self._workers: List["asyncio.Task"] = []
         self._known: Dict[str, str] = {}
-        self._pending: List[JobRequest] = []
         self._in_flight: int = 0
         self._draining = False
         self._stop_requested = False
@@ -233,8 +204,7 @@ class SessionService:
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        return (sum(shard.queue.qsize() for shard in self._shards)
-                + len(self._pending))
+        return self._queue.qsize() if self._queue is not None else 0
 
     @property
     def in_flight(self) -> int:
@@ -246,7 +216,7 @@ class SessionService:
                    if status in wanted)
 
     def _all_terminal(self) -> bool:
-        return (not self._pending and self._in_flight == 0
+        return (self._in_flight == 0
                 and all(status in JobStatus.TERMINAL
                         for status in self._known.values()))
 
@@ -254,39 +224,19 @@ class SessionService:
     # Submission (in-process)
     # ------------------------------------------------------------------
     def submit(self, job: JobRequest) -> None:
-        """Submit to the *running* service; sheds instead of blocking.
+        """Submit to the *running* service: spool durably, then enqueue.
 
-        Raises :class:`~repro.errors.ServiceUnavailableError` when the
-        breaker is open or every shard queue is full — the caller gets
-        a structured rejection now rather than an unbounded wait.  On
-        success the job is spooled durably and enqueued.
+        Raises :class:`~repro.errors.ServiceUnavailableError` while the
+        service drains — a parked service takes no new work until its
+        restart, which ingests anything spooled meanwhile.
         """
         if self._draining:
             raise ServiceUnavailableError(
                 "service is draining; submit after restart",
-                context=self._unavailable_context(job.job_id))
-        if not self.breaker.allow():
-            self._count("service.jobs_rejected")
-            raise ServiceUnavailableError(
-                f"circuit breaker is {self.breaker.state}; job "
-                f"{job.job_id!r} shed",
-                context=self._unavailable_context(job.job_id))
-        shard = self._shard_for(job.job_id)
-        if shard.queue.full():
-            self._count("service.jobs_rejected")
-            raise ServiceUnavailableError(
-                f"shard {shard.index} queue is full "
-                f"(capacity {self.config.queue_capacity}); job "
-                f"{job.job_id!r} shed",
-                context=self._unavailable_context(job.job_id))
+                context={"subsystem": "service", "job_id": job.job_id,
+                         "queue_depth": self.queue_depth})
         submit_job(self.config.state_dir, job)
-        self._admit(job, shard)
-
-    def _unavailable_context(self, job_id: str) -> Dict[str, Any]:
-        return {"subsystem": "service", "job_id": job_id,
-                "breaker": self.breaker.as_dict(),
-                "queue_depth": self.queue_depth,
-                "queue_capacity": self.config.queue_capacity}
+        self._admit(job)
 
     # ------------------------------------------------------------------
     # Serving
@@ -305,22 +255,15 @@ class SessionService:
                                fsync=config.fsync_journal)
         self._started_at = time.monotonic()
         self._install_signal_handlers()
-        self._journal_op("service_start", workers=config.workers,
-                         shards=config.shards)
+        self._journal_op("service_start", workers=config.workers)
         self._recover()
-        workers_per_shard = max(1, config.workers // config.shards)
-        for index in range(config.shards):
-            shard = _Shard(index=index, queue=asyncio.Queue(
-                maxsize=config.queue_capacity))
-            shard.workers = [
-                asyncio.create_task(self._worker(shard))
-                for _ in range(workers_per_shard)]
-            self._shards.append(shard)
+        self._queue = asyncio.Queue()
+        self._workers = [asyncio.create_task(self._worker())
+                         for _ in range(config.workers)]
         last_health = 0.0
         try:
             while True:
                 self._ingest_spool()
-                self._drain_pending()
                 self._check_control_markers()
                 now = time.monotonic()
                 if now - last_health >= config.health_period_s:
@@ -367,15 +310,13 @@ class SessionService:
         while self._in_flight > 0 and \
                 time.monotonic() < grace_deadline:
             await asyncio.sleep(self.config.poll_period_s)
-        for shard in self._shards:
-            for task in shard.workers:
-                task.cancel()
-        for shard in self._shards:
-            for task in shard.workers:
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
+        for task in self._workers:
+            task.cancel()
+        for task in self._workers:
+            try:
+                await task
+            except asyncio.CancelledError:
+                pass
         if self.cache is not None:
             self.cache.write_index()
         self._write_health(state="stopped")
@@ -439,7 +380,12 @@ class SessionService:
                 if path.stem not in self._known]
 
     def _ingest_spool(self) -> None:
-        """Pick up job files not yet known, in deterministic order."""
+        """Pick up job files not yet known, in deterministic order.
+
+        A file the strict decoder refuses, or whose ``job_id`` is not
+        its file name, is terminalized as ``rejected``: an input
+        refusal, never run.
+        """
         new_jobs: List[JobRequest] = []
         for path in self._scan_new_job_files():
             job_id = path.stem
@@ -451,12 +397,12 @@ class SessionService:
                 job = load_job_file(path)
             except ServiceError as exc:
                 self._terminalize(
-                    job_id=job_id, status=JobStatus.FAILED,
+                    job_id=job_id, status=JobStatus.REJECTED,
                     error=exc, spec={}, attempts=0)
                 continue
             if job.job_id != job_id:
                 self._terminalize(
-                    job_id=job_id, status=JobStatus.FAILED,
+                    job_id=job_id, status=JobStatus.REJECTED,
                     error=ServiceError(
                         f"job file {path.name} carries mismatched "
                         f"job_id {job.job_id!r}",
@@ -466,49 +412,14 @@ class SessionService:
                 continue
             new_jobs.append(job)
         for job in sorted(new_jobs, key=JobRequest.sort_key):
-            if not self.breaker.allow():
-                self._count("service.jobs_rejected")
-                self._journal_op("job_rejected", job_id=job.job_id,
-                                 breaker=self.breaker.state)
-                self._terminalize(
-                    job_id=job.job_id,
-                    status=JobStatus.REJECTED,
-                    error=ServiceUnavailableError(
-                        f"circuit breaker is {self.breaker.state}; "
-                        f"job {job.job_id!r} shed",
-                        context=self._unavailable_context(job.job_id)),
-                    spec=job.spec, attempts=0, journal_failed=False,
-                    submitted_seq=job.submitted_seq)
-                continue
-            self._known[job.job_id] = JobStatus.PENDING
-            self._pending.append(job)
-            self._count("service.jobs_ingested")
-            self._journal_op("job_ingested", job_id=job.job_id,
-                             submitted_seq=job.submitted_seq)
+            self._admit(job)
 
-    def _drain_pending(self) -> None:
-        """Move pending jobs into shard queues as capacity allows."""
-        still_waiting: List[JobRequest] = []
-        for job in self._pending:
-            shard = self._shard_for(job.job_id)
-            if shard.queue.full():
-                still_waiting.append(job)
-                continue
-            shard.queue.put_nowait(job)
-        self._pending = still_waiting
-
-    def _admit(self, job: JobRequest, shard: _Shard) -> None:
+    def _admit(self, job: JobRequest) -> None:
         self._known[job.job_id] = JobStatus.PENDING
         self._count("service.jobs_ingested")
         self._journal_op("job_ingested", job_id=job.job_id,
                          submitted_seq=job.submitted_seq)
-        shard.queue.put_nowait(job)
-
-    def _shard_for(self, job_id: str) -> _Shard:
-        digest = hashlib.sha256(job_id.encode("utf-8")).digest()
-        index = int.from_bytes(digest[:4], "big") % max(
-            1, len(self._shards))
-        return self._shards[index]
+        self._queue.put_nowait(job)
 
     def _check_control_markers(self) -> None:
         if self.paths.stop_marker().exists():
@@ -520,29 +431,28 @@ class SessionService:
     # ------------------------------------------------------------------
     # Workers
     # ------------------------------------------------------------------
-    async def _worker(self, shard: _Shard) -> None:
+    async def _worker(self) -> None:
         while True:
-            job = await shard.queue.get()
+            job = await self._queue.get()
             self._in_flight += 1
-            shard.metrics.counter("worker.jobs_dispatched").inc()
+            self._count("worker.jobs_dispatched")
             try:
-                await self._run_job(job, shard)
+                await self._run_job(job)
             finally:
                 self._in_flight -= 1
-                shard.queue.task_done()
+                self._queue.task_done()
 
-    async def _run_job(self, job: JobRequest,
-                       shard: _Shard) -> None:
+    async def _run_job(self, job: JobRequest) -> None:
         config = self.config
         self._known[job.job_id] = JobStatus.RUNNING
         last_error: Optional[BaseException] = None
         for attempt in range(1, config.max_attempts + 1):
             self._count("service.attempts")
             self._journal_op("attempt_start", job_id=job.job_id,
-                             attempt=attempt, shard=shard.index)
-            shard.metrics.counter("worker.attempts").inc()
+                             attempt=attempt)
+            self._count("worker.attempts")
             try:
-                parked = await self._execute(job, shard)
+                parked = await self._execute(job)
             except asyncio.CancelledError:
                 # Hard cancel (shutdown while mid-slice): park what we
                 # can so restart resumes instead of recomputing.
@@ -551,11 +461,6 @@ class SessionService:
             except Exception as exc:
                 last_error = exc
                 self._count("service.job_failures")
-                self.breaker.record_failure()
-                if self.breaker.state == BreakerState.OPEN:
-                    self._journal_op("breaker_open",
-                                     job_id=job.job_id,
-                                     trips=self.breaker.trips)
                 self._journal_op(
                     "attempt_failed", job_id=job.job_id,
                     attempt=attempt,
@@ -569,8 +474,6 @@ class SessionService:
                 continue
             if parked:
                 self._known[job.job_id] = JobStatus.PENDING
-                return
-            self.breaker.record_success()
             return
         assert last_error is not None
         self._terminalize(job_id=job.job_id,
@@ -579,8 +482,7 @@ class SessionService:
                           attempts=config.max_attempts,
                           submitted_seq=job.submitted_seq)
 
-    async def _execute(self, job: JobRequest,
-                       shard: _Shard) -> bool:
+    async def _execute(self, job: JobRequest) -> bool:
         """One attempt.  Returns True when the job *parked* (drain)."""
         from ..analysis.export import json_sanitize
 
@@ -601,7 +503,7 @@ class SessionService:
                 if written is not None:
                     self._count("service.jobs_done")
                     self._count("service.cache_hits")
-                    shard.metrics.counter("worker.jobs_done").inc()
+                    self._count("worker.jobs_done")
                     self._journal_op("job_done", job_id=job.job_id,
                                      sim_time_s=float(
                                          job.spec.get("duration_s",
@@ -628,10 +530,10 @@ class SessionService:
             slice_t0 = time.perf_counter()
             runner.advance(runner.now + config.slice_s,
                            max_events=config.max_slice_events)
-            shard.metrics.counter("worker.slices").inc()
+            self._count("worker.slices")
             # Wall-clock spans feed only the health snapshot; nothing
             # deterministic reads them.
-            shard.metrics.histogram(
+            self.metrics.histogram(
                 "span.service_slice_seconds",
                 SPAN_BUCKET_EDGES_S).observe(
                     time.perf_counter() - slice_t0)
@@ -641,7 +543,7 @@ class SessionService:
                 runner.save_checkpoint(
                     self.paths.checkpoint_path(job.job_id),
                     job_id=job.job_id)
-                shard.metrics.histogram(
+                self.metrics.histogram(
                     "span.service_checkpoint_seconds",
                     SPAN_BUCKET_EDGES_S).observe(
                         time.perf_counter() - checkpoint_t0)
@@ -660,7 +562,7 @@ class SessionService:
         self._known[job.job_id] = JobStatus.DONE
         if written is not None:
             self._count("service.jobs_done")
-            shard.metrics.counter("worker.jobs_done").inc()
+            self._count("worker.jobs_done")
             self._journal_op("job_done", job_id=job.job_id,
                              sim_time_s=runner.now)
         self.paths.checkpoint_path(job.job_id).unlink(missing_ok=True)
@@ -733,7 +635,6 @@ class SessionService:
     def _terminalize(self, *, job_id: str,
                      status: str, error: BaseException,
                      spec: Dict[str, Any], attempts: int,
-                     journal_failed: bool = True,
                      submitted_seq: int = 0) -> None:
         """Write a structured terminal failure/rejection result."""
         record = make_failure_record(
@@ -747,13 +648,14 @@ class SessionService:
         if written is None:
             return
         if status == JobStatus.FAILED:
-            self._count("service.jobs_failed")
-            if journal_failed:
-                self._journal_op(
-                    "job_failed", job_id=job_id,
-                    error_type=record["error_type"],
-                    error_message=record["error_message"],
-                    attempts=attempts)
+            counter, op = "service.jobs_failed", "job_failed"
+        else:
+            counter, op = "service.jobs_rejected", "job_rejected"
+        self._count(counter)
+        self._journal_op(op, job_id=job_id,
+                         error_type=record["error_type"],
+                         error_message=record["error_message"],
+                         attempts=attempts)
 
     # ------------------------------------------------------------------
     # Health + bookkeeping
@@ -768,7 +670,7 @@ class SessionService:
         self.journal.append(op, **fields)
 
     def status_summary(self) -> Dict[str, Any]:
-        """In-memory job/queue/breaker overview (also in health)."""
+        """In-memory job/queue overview (also in health)."""
         return {
             "jobs": {
                 "known": len(self._known),
@@ -784,7 +686,6 @@ class SessionService:
             },
             "queue_depth": self.queue_depth,
             "in_flight": self._in_flight,
-            "breaker": self.breaker.as_dict(),
             "journal": dict(self._journal_damage),
         }
 
@@ -792,9 +693,6 @@ class SessionService:
         self.metrics.gauge("service.queue_depth").set(
             self.queue_depth)
         self.metrics.gauge("service.in_flight").set(self._in_flight)
-        for shard in self._shards:
-            shard.metrics.gauge("worker.queue_depth").set(
-                shard.queue.qsize())
 
     def health_document(self, state: Optional[str] = None
                         ) -> Dict[str, Any]:
@@ -809,8 +707,7 @@ class SessionService:
             "schema": HEALTH_SCHEMA,
             "state": state or ("draining" if self._draining
                                else "running"),
-            "ready": (not self._draining
-                      and self.breaker.state != BreakerState.OPEN),
+            "ready": not self._draining,
             "written_unix": round(time.time(), 6),
             "health_period_s": self.config.health_period_s,
             **self.status_summary(),
@@ -818,11 +715,8 @@ class SessionService:
         }
 
     def scrape_snapshot(self) -> Dict[str, Any]:
-        """Service + per-shard registries merged into one snapshot
-        (counters add, gauges last-write-wins, histograms combine)."""
-        return merge_snapshots(
-            [self.metrics.as_dict()]
-            + [shard.metrics.as_dict() for shard in self._shards])
+        """The service registry's snapshot."""
+        return self.metrics.as_dict()
 
     def _write_health(self, state: Optional[str] = None) -> None:
         atomic_write_json(self.paths.health_path,

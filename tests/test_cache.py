@@ -322,7 +322,7 @@ class TestServiceIntegration:
         from repro.service.jobs import JobRequest
         submit_job(state_dir, JobRequest(job_id="job-1", spec=spec))
         service = SessionService(ServiceConfig(
-            state_dir=str(state_dir), workers=1, shards=1,
+            state_dir=str(state_dir), workers=1,
             until_idle=True, fsync_journal=False,
             cache_dir=str(cache_dir)))
         summary = asyncio.run(service.serve())

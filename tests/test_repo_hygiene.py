@@ -4,8 +4,8 @@ Cheap whole-repo guards: every Python file (library, tests,
 benchmarks, examples) byte-compiles; every example is an executable
 script with a ``main``; the public API surface in ``__all__`` actually
 resolves; the benchmark files referenced by the experiment registry
-exist on disk; the docs and CI name only live `repro` subcommands;
-no library module imports a name it never uses.
+exist on disk; the docs and CI name only live `repro` subcommands
+and options; no library module imports a name it never uses.
 """
 
 import ast
@@ -22,6 +22,23 @@ ALL_PY = sorted(
     for p in (REPO_ROOT / d).rglob("*.py"))
 
 EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
+
+#: Where a reader copies `repro` command lines from.  History files
+#: (CHANGES.md, CHANGELOG.md, ROADMAP.md) may name retired commands.
+COMMAND_SOURCES = sorted(
+    [REPO_ROOT / name for name in (
+        "README.md", "DESIGN.md", "EXPERIMENTS.md", "CONTRIBUTING.md",
+        ".github/workflows/ci.yml")]
+    + list((REPO_ROOT / "docs").glob("*.md")) + EXAMPLES)
+
+
+def _subcommands(parser) -> dict:
+    """``{name: subparser}`` of an argparse parser (empty if none)."""
+    import argparse
+    return {name: sub
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+            for name, sub in action.choices.items()}
 
 
 class TestCompilation:
@@ -148,27 +165,50 @@ class TestDocumentation:
             assert module.__doc__, module_name
 
     def test_docs_and_ci_name_only_live_subcommands(self):
-        # History files (CHANGES.md, CHANGELOG.md, ROADMAP.md) may name
-        # retired commands; everything a reader runs from may not.
-        import argparse
-        import re
-
         from repro.cli import build_parser
-        (subparsers,) = [
-            action for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)]
-        live = set(subparsers.choices)
-        sources = [REPO_ROOT / name for name in (
-            "README.md", "DESIGN.md", "EXPERIMENTS.md",
-            "CONTRIBUTING.md", ".github/workflows/ci.yml")]
-        sources += sorted((REPO_ROOT / "docs").glob("*.md")) + EXAMPLES
+        live = set(_subcommands(build_parser()))
         pattern = re.compile(
             r"(?:python -m repro|`repro)\s+([a-z][a-z0-9-]*)")
         stale = [
             f"{path.relative_to(REPO_ROOT)}: repro {word}"
-            for path in sources
+            for path in COMMAND_SOURCES
             for word in pattern.findall(path.read_text())
             if word not in live]
+        assert not stale, stale
+
+    def test_docs_and_ci_name_only_live_options(self):
+        # Every --long-option after `python -m repro <sub>` on one
+        # command line (a trailing backslash continues it) must be an
+        # option of that subcommand's parser; `trace` is resolved to
+        # its nested subcommand.  A pipe, backtick, `;`, `&` or ` #`
+        # ends the command.
+        from repro.cli import build_parser
+        commands = _subcommands(build_parser())
+        command = re.compile(r"python -m repro\s+([a-z][a-z0-9-]*)(.*)")
+        stale = []
+        for path in COMMAND_SOURCES:
+            text = re.sub(r"\\[ \t]*\n", " ", path.read_text())
+            for line in text.splitlines():
+                for name, rest in command.findall(line):
+                    rest = re.split(r"[`|;&]|\s#", rest)[0]
+                    parser = commands.get(name)
+                    if parser is None:
+                        continue  # the subcommand guard reports it
+                    nested = _subcommands(parser)
+                    if nested:
+                        words = rest.split()
+                        if not words or words[0] not in nested:
+                            continue
+                        name = f"{name} {words[0]}"
+                        parser = nested[words[0]]
+                    live = {option for action in parser._actions
+                            for option in action.option_strings}
+                    stale += [
+                        f"{path.relative_to(REPO_ROOT)}: repro {name} "
+                        f"{option}"
+                        for option in re.findall(
+                            r"(?<![\w-])--[a-z][a-z0-9-]*", rest)
+                        if option not in live]
         assert not stale, stale
 
 

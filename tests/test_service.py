@@ -1,10 +1,9 @@
 """Tests for the durable session service (`repro.service`).
 
-Covers the building blocks bottom-up — atomic writes and tolerant
-JSONL reads (`repro.ioutil`), the append-only journal, the circuit
-breaker — then the service itself run in-process with ``until_idle``:
-correct byte-identical summaries, structured failure records, retry
-exhaustion, breaker shedding, deadlines, park-on-shutdown and resume.
+Covers the append-only journal, then the service itself run in-process
+with ``until_idle``: correct byte-identical summaries, structured
+failure records, rejected job files, retry exhaustion, deadlines,
+park-on-shutdown and resume.
 
 Byte-identity assertions always compare against an uninterrupted
 in-process :func:`run_session` of the same spec; configs stay
@@ -22,16 +21,9 @@ from repro.errors import (
     ServiceError,
     ServiceUnavailableError,
 )
-from repro.ioutil import (
-    append_jsonl_line,
-    atomic_write_json,
-    atomic_write_text,
-    read_jsonl,
-)
+from repro.ioutil import atomic_write_json
 from repro.pipeline.spec import SessionSpec
 from repro.service import (
-    BreakerState,
-    CircuitBreaker,
     JobRequest,
     JobStatus,
     Journal,
@@ -78,73 +70,6 @@ def _serve(state_dir, **overrides):
     defaults.update(overrides)
     service = SessionService(ServiceConfig(**defaults))
     return asyncio.run(service.serve())
-
-
-# ----------------------------------------------------------------------
-# ioutil
-# ----------------------------------------------------------------------
-
-class TestAtomicWrites:
-    def test_atomic_json_round_trip(self, tmp_path):
-        path = tmp_path / "doc.json"
-        atomic_write_json(path, {"a": 1, "b": [2, 3]})
-        assert json.loads(path.read_text()) == {"a": 1, "b": [2, 3]}
-
-    def test_no_temp_file_left_behind(self, tmp_path):
-        atomic_write_text(tmp_path / "x.txt", "hello")
-        assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
-
-    def test_overwrite_is_all_or_nothing(self, tmp_path):
-        path = tmp_path / "doc.json"
-        atomic_write_json(path, {"v": 1})
-        atomic_write_json(path, {"v": 2})
-        assert json.loads(path.read_text()) == {"v": 2}
-
-    def test_nan_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            atomic_write_json(tmp_path / "bad.json", {"x": float("nan")})
-
-
-class TestJsonlReader:
-    def test_missing_file_is_empty(self, tmp_path):
-        result = read_jsonl(tmp_path / "nope.jsonl")
-        assert result.records == []
-        assert not result.damaged
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        with path.open("a") as handle:
-            append_jsonl_line(handle, {"n": 1}, fsync=False)
-            append_jsonl_line(handle, {"n": 2}, fsync=False)
-        result = read_jsonl(path)
-        assert [r["n"] for r in result.records] == [1, 2]
-        assert not result.damaged
-
-    def test_torn_tail_detected_and_tolerated(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        path.write_text('{"n": 1}\n{"n": 2}\n{"n": 3')
-        result = read_jsonl(path)
-        assert [r["n"] for r in result.records] == [1, 2]
-        assert result.torn_tail
-        assert result.damaged
-
-    def test_missing_trailing_newline_counts_as_torn(self, tmp_path):
-        # A decoded record whose newline never hit disk is kept (the
-        # content survived) but the tail is still flagged as torn.
-        path = tmp_path / "log.jsonl"
-        path.write_text('{"n": 1}\n{"n": 2}')
-        result = read_jsonl(path)
-        assert [r["n"] for r in result.records] == [1, 2]
-        assert result.torn_tail
-
-    def test_mid_file_garbage_counted_not_fatal(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        path.write_text('{"n": 1}\nGARBAGE\n{"n": 3}\n')
-        result = read_jsonl(path)
-        assert [r["n"] for r in result.records] == [1, 3]
-        assert result.bad_lines == 1
-        assert result.bad_line_numbers == [2]
-        assert not result.torn_tail
 
 
 # ----------------------------------------------------------------------
@@ -209,72 +134,23 @@ class TestJournal:
         assert state.bad_lines == 1
         assert not state.torn_tail
 
-
-# ----------------------------------------------------------------------
-# Circuit breaker
-# ----------------------------------------------------------------------
-
-class _FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestCircuitBreaker:
-    def test_opens_after_consecutive_failures(self):
-        clock = _FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_s=10.0,
-                                 clock=clock)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == BreakerState.CLOSED
-        breaker.record_failure()
-        assert breaker.state == BreakerState.OPEN
-        assert not breaker.allow()
-        assert breaker.trips == 1
-
-    def test_success_resets_failure_count(self):
-        breaker = CircuitBreaker(failure_threshold=2,
-                                 clock=_FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == BreakerState.CLOSED
-
-    def test_half_open_allows_one_probe(self):
-        clock = _FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=5.0,
-                                 clock=clock)
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.now = 5.1
-        assert breaker.state == BreakerState.HALF_OPEN
-        assert breaker.allow()
-        assert not breaker.allow()
-
-    def test_probe_success_closes(self):
-        clock = _FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=5.0,
-                                 clock=clock)
-        breaker.record_failure()
-        clock.now = 6.0
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == BreakerState.CLOSED
-        assert breaker.allow()
-
-    def test_probe_failure_reopens(self):
-        clock = _FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=5.0,
-                                 clock=clock)
-        breaker.record_failure()
-        clock.now = 6.0
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == BreakerState.OPEN
-        assert breaker.trips == 2
+    def test_retired_op_still_reads(self, tmp_path):
+        # Ops retired from KNOWN_OPS stay readable, and a reopened
+        # journal keeps appending after them.
+        path = tmp_path / "journal.jsonl"
+        path.write_text(
+            '{"op": "breaker_open", "seq": 0, "job_id": "j0"}\n')
+        state = read_journal(path)
+        assert state.count("breaker_open", job_id="j0") == 1
+        assert state.bad_lines == 0
+        journal = Journal(path, fsync=False)
+        record = journal.append("service_start")
+        journal.close()
+        assert record["seq"] == 1
+        state = read_journal(path)
+        assert [r["op"] for r in state.records] == [
+            "breaker_open", "service_start"]
+        assert state.bad_lines == 0
 
 
 # ----------------------------------------------------------------------
@@ -376,12 +252,21 @@ class TestServiceRuns:
         assert result["failure"]["attempts"] == 1
 
     def test_undecodable_job_file_terminalizes(self, tmp_path):
+        # Job files the strict decoder refuses, or whose job_id is not
+        # their file name, are input refusals: rejected, never run.
         paths = ServicePaths(tmp_path).ensure()
         paths.job_path("mangled").write_text("{not json")
+        atomic_write_json(paths.job_path("renamed"),
+                          _job("other-id", _spec()).to_json_dict())
         exit_summary = _serve(tmp_path)
-        assert exit_summary["jobs"]["failed"] == 1
-        result = load_result(paths, "mangled")
-        assert result["status"] == JobStatus.FAILED
+        assert exit_summary["jobs"]["rejected"] == 2
+        assert exit_summary["jobs"]["failed"] == 0
+        journal = read_journal(paths.journal_path)
+        for job_id in ("mangled", "renamed"):
+            result = load_result(paths, job_id)
+            assert result["status"] == JobStatus.REJECTED
+            assert result["failure"]["attempts"] == 0
+            assert journal.count("job_rejected", job_id=job_id) == 1
 
     def test_failing_jobs_retry_then_exhaust(self, tmp_path):
         doc = _spec().to_json_dict()
@@ -403,48 +288,6 @@ class TestServiceRuns:
         assert exit_summary["jobs"]["failed"] == 1
         result = load_result(ServicePaths(tmp_path), "slow")
         assert result["failure"]["error_type"] == "TimeoutError"
-
-    def test_breaker_open_sheds_new_jobs(self, tmp_path):
-        # A job that arrives AFTER the breaker opened is shed with a
-        # structured rejection instead of being run; jobs admitted
-        # earlier still get their failure records.
-        bad = _spec().to_json_dict()
-        bad["app"] = "NoSuchAppAnywhere"
-        paths = ServicePaths(tmp_path)
-
-        async def scenario():
-            config = ServiceConfig(
-                state_dir=str(tmp_path), workers=1, max_attempts=1,
-                breaker_threshold=1, breaker_cooldown_s=3600.0,
-                fsync_journal=False, max_runtime_s=60.0)
-            service = SessionService(config)
-            task = asyncio.ensure_future(service.serve())
-            submit_job(tmp_path, JobRequest(
-                job_id="bad-0", spec=bad, deadline_s=None,
-                submitted_seq=0))
-            for _ in range(2000):
-                if load_result(paths, "bad-0") is not None:
-                    break
-                await asyncio.sleep(0.01)
-            submit_job(tmp_path, JobRequest(
-                job_id="bad-1", spec=bad, deadline_s=None,
-                submitted_seq=1))
-            for _ in range(2000):
-                if load_result(paths, "bad-1") is not None:
-                    break
-                await asyncio.sleep(0.01)
-            service.request_shutdown()
-            return await task
-
-        asyncio.run(scenario())
-        assert load_result(paths, "bad-0")["status"] == JobStatus.FAILED
-        shed = load_result(paths, "bad-1")
-        assert shed["status"] == JobStatus.REJECTED
-        assert shed["failure"]["error_type"] == \
-            "ServiceUnavailableError"
-        journal = read_journal(paths.journal_path)
-        assert journal.count("breaker_open") >= 1
-        assert journal.count("job_rejected", job_id="bad-1") == 1
 
     def test_park_and_resume_is_byte_identical(self, tmp_path):
         spec = _spec(duration_s=6.0)
@@ -529,7 +372,3 @@ class TestControlAndStatus:
     def test_service_config_validation(self, tmp_path):
         with pytest.raises(ServiceError):
             ServiceConfig(state_dir=str(tmp_path), workers=0)
-        with pytest.raises(ServiceError):
-            ServiceConfig(state_dir=str(tmp_path), workers=2, shards=3)
-        with pytest.raises(ServiceError):
-            ServiceConfig(state_dir=str(tmp_path), queue_capacity=0)
