@@ -307,13 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
                       "directory (docs/service.md)")
     p_serve.add_argument("--state-dir", required=True, metavar="DIR",
                          help="service state directory (journal, "
-                              "jobs, checkpoints, results)")
+                              "jobs, results)")
     p_serve.add_argument("--workers", type=int, default=2,
                          help="concurrent session workers (default 2)")
-    p_serve.add_argument("--checkpoint-period", type=float,
-                         default=5.0, metavar="SIM_S",
-                         help="sim seconds of progress between "
-                              "checkpoints (default 5)")
     p_serve.add_argument("--slice", type=float, default=1.0,
                          metavar="SIM_S",
                          help="sim seconds advanced per cooperative "
@@ -334,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "and no new jobs arrive (batch mode)")
     p_serve.add_argument("--max-runtime", type=float, default=None,
                          metavar="WALL_S",
-                         help="park everything and exit after this "
-                              "many wall seconds (CI safety net)")
+                         help="stop and exit after this many wall "
+                              "seconds, leaving unfinished jobs pending "
+                              "(CI safety net)")
     p_serve.add_argument("--no-fsync", action="store_true",
                          help="skip per-append journal fsync (faster, "
                               "test-only; crash durability weakens)")
@@ -382,15 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_status.add_argument("--json", action="store_true",
                           help="machine-readable status document")
     p_status.set_defaults(func=cmd_status)
-
-    p_drain = sub.add_parser(
-        "drain", help="ask a running service to finish every queued "
-                      "job and exit (or --stop to park and exit now)")
-    p_drain.add_argument("--state-dir", required=True, metavar="DIR")
-    p_drain.add_argument("--stop", action="store_true",
-                         help="park in-flight jobs and exit "
-                              "immediately instead of draining")
-    p_drain.set_defaults(func=cmd_drain)
 
     return parser
 
@@ -954,7 +942,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         state_dir=args.state_dir,
         workers=args.workers,
-        checkpoint_period_s=args.checkpoint_period,
         slice_s=args.slice,
         slice_sleep_s=args.slice_sleep,
         max_attempts=args.max_attempts,
@@ -971,7 +958,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     jobs = summary["jobs"]
     print(f"service exit: {jobs['done']} done, {jobs['failed']} "
           f"failed, {jobs['rejected']} rejected, "
-          f"{jobs['pending'] + jobs['running']} parked/pending",
+          f"{jobs['pending'] + jobs['running']} pending",
           file=sys.stderr)
     return 0
 
@@ -1026,7 +1013,7 @@ def cmd_status(args: argparse.Namespace) -> int:
     print(f"state dir:      {status['state_dir']}")
     print(f"jobs:           {len(status['jobs'])} known "
           f"({counts['done']} done, {counts['failed']} failed, "
-          f"{counts['rejected']} rejected, {counts['parked']} parked, "
+          f"{counts['rejected']} rejected, "
           f"{counts['pending']} pending)")
     journal = status["journal"]
     damage = ""
@@ -1051,17 +1038,6 @@ def cmd_status(args: argparse.Namespace) -> int:
                  entry.get("error_type") or ""]
                 for entry in status["jobs"]]
         print(format_table(["job", "status", "error"], rows))
-    return 0
-
-
-def cmd_drain(args: argparse.Namespace) -> int:
-    from .service.service import request_drain, request_stop
-    if args.stop:
-        marker = request_stop(args.state_dir)
-        print(f"stop requested -> {marker}")
-    else:
-        marker = request_drain(args.state_dir)
-        print(f"drain requested -> {marker}")
     return 0
 
 

@@ -94,7 +94,7 @@ class WorkerCrashError(ReproError):
 
 class ServiceError(ReproError):
     """Session-service misuse or internal failure (bad state directory,
-    malformed job document, submitting to a stopped service)."""
+    malformed job document, duplicate job id)."""
 
 
 class JournalError(ServiceError):
@@ -105,17 +105,11 @@ class JournalError(ServiceError):
 
 
 class CheckpointError(ServiceError):
-    """A checkpoint document cannot be used to resume: unreadable file,
-    wrong schema, spec that fails to decode, or a state digest that does
-    not match the deterministically replayed state.  Recovery code
-    treats this as "restart the job from scratch", never as a reason to
-    trust the checkpoint anyway."""
-
-
-class ServiceUnavailableError(ServiceError):
-    """The service refused an in-process submit because it is draining.
-    Carries structured context (job id, queue depth); the job can be
-    spooled again once the service restarts."""
+    """A checkpoint document cannot be used to resume: malformed
+    document, wrong schema, spec that fails to decode, or a state digest
+    that does not match the deterministically replayed state.  A caller
+    reruns the session from its spec, never trusts the checkpoint
+    anyway."""
 
 
 class FaultInjectionError(ReproError):

@@ -1,4 +1,4 @@
-"""The durable session service: crash-safe queue, checkpoint/resume.
+"""The durable session service: crash-safe queue, rerun on restart.
 
 ``repro.service`` turns the run-to-completion batch engine into a
 long-running service (``repro serve``) whose jobs survive process
@@ -10,7 +10,8 @@ death:
   operations journal;
 * :mod:`repro.service.service` — the asyncio service itself: one FIFO
   queue drained by worker tasks, deadlines, retry with backoff,
-  checkpointed graceful shutdown, health reporting.
+  shutdown that leaves interrupted jobs pending for a rerun from their
+  spec, health reporting.
 
 Architecture and failure matrix: ``docs/service.md``.
 """

@@ -8,20 +8,18 @@ rename and recovery needs nothing but a directory listing.
 State directory layout (``ServicePaths``)::
 
     <state_dir>/
-      jobs/         <job_id>.json   submitted jobs (repro-job/1)
-      results/      <job_id>.json   terminal outcomes (repro-result/1)
-      checkpoints/  <job_id>.json   latest checkpoint (repro-checkpoint/1)
-      journal.jsonl                 append-only operations journal
-      health.json                   latest health snapshot (atomic)
-      control/                      drain/stop marker files
+      jobs/     <job_id>.json   submitted jobs (repro-job/1)
+      results/  <job_id>.json   terminal outcomes (repro-result/1)
+      journal.jsonl             append-only operations journal
+      health.json               latest health snapshot (atomic)
 
 **Results are the source of truth.**  A job is complete exactly when
 ``results/<job_id>.json`` exists; the file is written once, atomically,
 and never rewritten.  Restarting the service after any crash therefore
 cannot duplicate side effects: done jobs are skipped because their
-result file exists, and everything else is re-queued (resuming from a
-checkpoint when a valid one is on disk).  The journal is an audit
-trail and health input, not a correctness dependency.
+result file exists, and everything else is re-queued and rerun from
+its spec.  The journal is an audit trail and health input, not a
+correctness dependency.
 """
 
 from __future__ import annotations
@@ -161,16 +159,13 @@ class ServicePaths:
         self.state_dir = pathlib.Path(state_dir)
         self.jobs_dir = self.state_dir / "jobs"
         self.results_dir = self.state_dir / "results"
-        self.checkpoints_dir = self.state_dir / "checkpoints"
-        self.control_dir = self.state_dir / "control"
         self.journal_path = self.state_dir / "journal.jsonl"
         self.health_path = self.state_dir / "health.json"
 
     def ensure(self) -> "ServicePaths":
         """Create the directory tree (idempotent)."""
         for directory in (self.state_dir, self.jobs_dir,
-                          self.results_dir, self.checkpoints_dir,
-                          self.control_dir):
+                          self.results_dir):
             ensure_directory(directory)
         return self
 
@@ -180,15 +175,6 @@ class ServicePaths:
 
     def result_path(self, job_id: str) -> pathlib.Path:
         return self.results_dir / f"{validate_job_id(job_id)}.json"
-
-    def checkpoint_path(self, job_id: str) -> pathlib.Path:
-        return self.checkpoints_dir / f"{validate_job_id(job_id)}.json"
-
-    def drain_marker(self) -> pathlib.Path:
-        return self.control_dir / "drain"
-
-    def stop_marker(self) -> pathlib.Path:
-        return self.control_dir / "stop"
 
     # -- listings ------------------------------------------------------
     def list_jobs(self) -> List[pathlib.Path]:

@@ -1,8 +1,7 @@
 """The append-only operations journal: crash-tolerant by design.
 
 Every interesting service transition — job ingested, attempt started,
-checkpoint written, job done/failed, recovery notes — appends one JSON
-line.  Appends are flushed and fsynced, so a crash can tear at most
+job done/failed/rejected, recovery notes — appends one JSON line.  Appends are flushed and fsynced, so a crash can tear at most
 the final line; :func:`read_journal` (built on the tolerant
 :func:`repro.ioutil.read_jsonl`) counts torn tails and corrupt lines
 instead of failing, because the journal is an *audit log*: correctness
@@ -36,8 +35,7 @@ KNOWN_OPS = (
     "service_start", "service_stop",
     "job_ingested", "job_rejected",
     "attempt_start", "attempt_failed",
-    "checkpoint_written", "checkpoint_invalid",
-    "job_parked", "job_resumed", "job_done", "job_failed",
+    "job_done", "job_failed",
     "recovery",
 )
 

@@ -1,28 +1,28 @@
-"""The asyncio session service: durable queue, checkpoints, graceful drain.
+"""The asyncio session service: durable queue, rerun on restart.
 
 One :class:`SessionService` owns a state directory
 (:class:`~repro.service.jobs.ServicePaths`) and runs submitted session
 jobs to completion, surviving any crash:
 
-* Jobs arrive as atomic file drops in ``jobs/`` — written by
-  :func:`submit_job` (works with no service running) or by the running
-  service's :meth:`SessionService.submit`.
+* Jobs arrive as atomic file drops in ``jobs/``, written by
+  :func:`submit_job` (works with no service running).
 * ``workers`` worker tasks (plain asyncio tasks — sessions are
   CPU-bounded slices, so cooperative stepping keeps the loop responsive
   without threads) pull from one FIFO queue, in
   :meth:`~repro.service.jobs.JobRequest.sort_key` order.
-* Every job checkpoints periodically
-  (:class:`~repro.sim.runner.SessionRunner` documents), so a SIGKILL
-  at an arbitrary frame resumes — digest-verified — and produces a
-  summary byte-identical to an uninterrupted run.
+* A job that a stop or crash interrupts has a spool file and no
+  result, so it stays ``pending`` and the next start reruns it from
+  its :class:`~repro.pipeline.spec.SessionSpec`.  The simulator is
+  deterministic, so the rerun's summary is byte-identical to an
+  uninterrupted run.
 * Failures retry with exponential backoff up to ``max_attempts``, then
   become structured failure records (the same
   :func:`~repro.sim.batch.make_failure_record` shape the batch engine
   writes).  A job file the strict decoder refuses is terminalized as
   ``rejected`` without running.
-* SIGTERM/SIGINT drain gracefully: in-flight jobs checkpoint and park,
-  queued jobs stay durable on disk, the service exits 0; in-process
-  submits fail fast with :class:`~repro.errors.ServiceUnavailableError`.
+* SIGTERM/SIGINT stop the service: in-flight jobs are cancelled and
+  write no result, queued jobs stay durable on disk, the service
+  exits 0.
 * Health/readiness snapshots (``health.json``, atomic) are fed by a
   :class:`~repro.telemetry.metrics.MetricsRegistry`.
 
@@ -40,14 +40,10 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Union
 
-from ..errors import (
-    CheckpointError,
-    ServiceError,
-    ServiceUnavailableError,
-)
+from ..errors import ServiceError
 from ..ioutil import atomic_write_json
 from ..sim.batch import make_failure_record, summarize_result
-from ..sim.runner import SessionRunner, resume_from_file
+from ..sim.runner import SessionRunner
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.profiling import SPAN_BUCKET_EDGES_S
 from .jobs import (
@@ -75,16 +71,14 @@ class ServiceConfig:
 
     ``slice_s`` is *simulation* seconds advanced per cooperative step;
     ``slice_sleep_s`` is *wall* seconds slept between steps (0 runs
-    flat out — raise it to pace execution, e.g. so a drain lands
-    mid-job deterministically).  ``checkpoint_period_s`` is simulation
-    seconds of progress between checkpoint writes.
+    flat out — raise it to pace execution, e.g. so a stop lands
+    mid-job deterministically).
     """
 
     state_dir: str
     workers: int = 2
     slice_s: float = 1.0
     slice_sleep_s: float = 0.0
-    checkpoint_period_s: float = 5.0
     max_slice_events: int = 5_000_000
     max_attempts: int = 3
     backoff_base_s: float = 0.05
@@ -95,7 +89,6 @@ class ServiceConfig:
     fsync_journal: bool = True
     until_idle: bool = False
     max_runtime_s: Optional[float] = None
-    drain_grace_s: float = 30.0
     #: Content-addressed result cache directory (``None`` disables
     #: caching): jobs whose spec is already cached complete without
     #: simulating, finished jobs populate the cache, and the cache's
@@ -110,8 +103,7 @@ class ServiceConfig:
                     f"{name} must be >= {minimum}, got "
                     f"{getattr(self, name)}",
                     context={"subsystem": "service", "field": name})
-        for name in ("slice_s", "checkpoint_period_s",
-                     "poll_period_s", "health_period_s"):
+        for name in ("slice_s", "poll_period_s", "health_period_s"):
             if getattr(self, name) <= 0:
                 raise ServiceError(
                     f"{name} must be > 0, got {getattr(self, name)}",
@@ -184,9 +176,7 @@ class SessionService:
         self._workers: List["asyncio.Task"] = []
         self._known: Dict[str, str] = {}
         self._in_flight: int = 0
-        self._draining = False
         self._stop_requested = False
-        self._drain_then_exit = False
         self._journal_damage: Dict[str, Any] = {"torn_tail": False,
                                                 "bad_lines": 0}
         self._started_at = 0.0
@@ -221,33 +211,13 @@ class SessionService:
                         for status in self._known.values()))
 
     # ------------------------------------------------------------------
-    # Submission (in-process)
-    # ------------------------------------------------------------------
-    def submit(self, job: JobRequest) -> None:
-        """Submit to the *running* service: spool durably, then enqueue.
-
-        Raises :class:`~repro.errors.ServiceUnavailableError` while the
-        service drains — a parked service takes no new work until its
-        restart, which ingests anything spooled meanwhile.
-        """
-        if self._draining:
-            raise ServiceUnavailableError(
-                "service is draining; submit after restart",
-                context={"subsystem": "service", "job_id": job.job_id,
-                         "queue_depth": self.queue_depth})
-        submit_job(self.config.state_dir, job)
-        self._admit(job)
-
-    # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
     async def serve(self) -> Dict[str, Any]:
         """Run until stopped; returns a final status summary.
 
-        Exit conditions: SIGTERM/SIGINT (graceful park), a ``stop``
-        control marker, a ``drain`` marker once everything known is
-        terminal, ``until_idle`` once the backlog is empty, or
-        ``max_runtime_s``.
+        Exit conditions: SIGTERM/SIGINT (:meth:`request_shutdown`),
+        ``until_idle`` once the backlog is empty, or ``max_runtime_s``.
         """
         config = self.config
         self.paths.ensure()
@@ -264,14 +234,11 @@ class SessionService:
         try:
             while True:
                 self._ingest_spool()
-                self._check_control_markers()
                 now = time.monotonic()
                 if now - last_health >= config.health_period_s:
                     self._write_health()
                     last_health = now
                 if self._stop_requested:
-                    break
-                if self._drain_then_exit and self._all_terminal():
                     break
                 if (config.until_idle and self._all_terminal()
                         and not self._scan_new_job_files()):
@@ -293,23 +260,19 @@ class SessionService:
                 loop.add_signal_handler(
                     signum, self.request_shutdown)
             except (NotImplementedError, RuntimeError):
-                # Non-unix platforms / nested loops: rely on markers.
+                # Non-unix platforms / nested loops: no signal stop.
                 return
 
     def request_shutdown(self) -> None:
-        """Graceful stop: park in-flight jobs, keep the queue on disk."""
-        self._draining = True
+        """Stop: cancel in-flight jobs, keep the queue on disk.
+
+        A cancelled job writes no result, so the next start reruns it
+        from its spec.
+        """
         self._stop_requested = True
 
     async def _shutdown(self) -> None:
-        self._draining = True
-        # Give in-flight jobs one drain-grace window to notice the
-        # flag at their next slice boundary and park with a checkpoint
-        # — cancelling first would lose the slice progress.
-        grace_deadline = time.monotonic() + self.config.drain_grace_s
-        while self._in_flight > 0 and \
-                time.monotonic() < grace_deadline:
-            await asyncio.sleep(self.config.poll_period_s)
+        self._stop_requested = True
         for task in self._workers:
             task.cancel()
         for task in self._workers:
@@ -367,11 +330,6 @@ class SessionService:
         self._count("service.jobs_failed", durable[JobStatus.FAILED])
         self._count("service.jobs_rejected",
                     durable[JobStatus.REJECTED])
-        # Orphan checkpoints (job finished, crash before cleanup).
-        for path in sorted(
-                self.paths.checkpoints_dir.glob("*.json")):
-            if self.paths.result_path(path.stem).exists():
-                path.unlink(missing_ok=True)
         if recovered:
             self._journal_op("recovery", completed_jobs=recovered)
 
@@ -421,13 +379,6 @@ class SessionService:
                          submitted_seq=job.submitted_seq)
         self._queue.put_nowait(job)
 
-    def _check_control_markers(self) -> None:
-        if self.paths.stop_marker().exists():
-            self.paths.stop_marker().unlink(missing_ok=True)
-            self.request_shutdown()
-        if self.paths.drain_marker().exists():
-            self._drain_then_exit = True
-
     # ------------------------------------------------------------------
     # Workers
     # ------------------------------------------------------------------
@@ -450,12 +401,11 @@ class SessionService:
             self._count("service.attempts")
             self._journal_op("attempt_start", job_id=job.job_id,
                              attempt=attempt)
-            self._count("worker.attempts")
             try:
-                parked = await self._execute(job)
+                await self._execute(job)
             except asyncio.CancelledError:
-                # Hard cancel (shutdown while mid-slice): park what we
-                # can so restart resumes instead of recomputing.
+                # Shutdown mid-job: no result was written, so the job
+                # stays pending and the next start reruns it.
                 self._known[job.job_id] = JobStatus.PENDING
                 raise
             except Exception as exc:
@@ -472,8 +422,6 @@ class SessionService:
                         attempt, config.backoff_base_s,
                         config.backoff_max_s))
                 continue
-            if parked:
-                self._known[job.job_id] = JobStatus.PENDING
             return
         assert last_error is not None
         self._terminalize(job_id=job.job_id,
@@ -482,9 +430,10 @@ class SessionService:
                           attempts=config.max_attempts,
                           submitted_seq=job.submitted_seq)
 
-    async def _execute(self, job: JobRequest) -> bool:
-        """One attempt.  Returns True when the job *parked* (drain)."""
+    async def _execute(self, job: JobRequest) -> None:
+        """One attempt: run the job from its spec to a result."""
         from ..analysis.export import json_sanitize
+        from ..pipeline.spec import SessionSpec
 
         config = self.config
         cache_key = self._cache_key(job)
@@ -503,24 +452,18 @@ class SessionService:
                 if written is not None:
                     self._count("service.jobs_done")
                     self._count("service.cache_hits")
-                    self._count("worker.jobs_done")
                     self._journal_op("job_done", job_id=job.job_id,
                                      sim_time_s=float(
                                          job.spec.get("duration_s",
                                                       0.0) or 0.0),
                                      cached=True)
-                self.paths.checkpoint_path(job.job_id).unlink(
-                    missing_ok=True)
-                return False
-        runner = self._build_runner(job)
+                return
+        runner = SessionRunner(
+            SessionSpec.from_json_dict(job.spec).to_config())
         deadline_s = job.deadline_s or config.default_deadline_s
         deadline_at = (time.monotonic() + deadline_s
                        if deadline_s is not None else None)
-        last_checkpoint_t = runner.now
         while not runner.done:
-            if self._draining:
-                self._park(job, runner)
-                return True
             if deadline_at is not None and \
                     time.monotonic() > deadline_at:
                 raise TimeoutError(
@@ -537,21 +480,6 @@ class SessionService:
                 "span.service_slice_seconds",
                 SPAN_BUCKET_EDGES_S).observe(
                     time.perf_counter() - slice_t0)
-            if (not runner.done and runner.now - last_checkpoint_t
-                    >= config.checkpoint_period_s):
-                checkpoint_t0 = time.perf_counter()
-                runner.save_checkpoint(
-                    self.paths.checkpoint_path(job.job_id),
-                    job_id=job.job_id)
-                self.metrics.histogram(
-                    "span.service_checkpoint_seconds",
-                    SPAN_BUCKET_EDGES_S).observe(
-                        time.perf_counter() - checkpoint_t0)
-                last_checkpoint_t = runner.now
-                self._count("service.checkpoints_written")
-                self._journal_op("checkpoint_written",
-                                 job_id=job.job_id,
-                                 sim_time_s=runner.now)
             await asyncio.sleep(config.slice_sleep_s)
         raw = summarize_result(runner.finish())
         if cache_key is not None:
@@ -562,23 +490,12 @@ class SessionService:
         self._known[job.job_id] = JobStatus.DONE
         if written is not None:
             self._count("service.jobs_done")
-            self._count("worker.jobs_done")
             self._journal_op("job_done", job_id=job.job_id,
                              sim_time_s=runner.now)
-        self.paths.checkpoint_path(job.job_id).unlink(missing_ok=True)
-        return False
 
     def _cache_key(self, job: JobRequest) -> Optional[str]:
-        """The job's result-cache key, or None (no cache/uncacheable).
-
-        A resumed job (valid checkpoint on disk) is mid-flight by
-        definition; its cached answer would be correct too, but the
-        lookup happens before resume so the checkpointed progress is
-        never silently discarded in favour of a recompute-from-cache.
-        """
+        """The job's result-cache key, or None (no cache/uncacheable)."""
         if self.cache is None:
-            return None
-        if self.paths.checkpoint_path(job.job_id).exists():
             return None
         from ..pipeline.spec import SessionSpec
         try:
@@ -586,51 +503,6 @@ class SessionService:
         except Exception:  # noqa: BLE001 - malformed spec: run it
             return None
         return self.cache.key_for_spec(spec, capture=False)
-
-    def _build_runner(self, job: JobRequest) -> SessionRunner:
-        """Resume from a valid checkpoint, else build from the spec.
-
-        An unusable checkpoint (torn write, garbage, digest mismatch)
-        is journaled, counted and deleted — the attempt restarts from
-        scratch, trading wall time for a guaranteed-correct result.
-        """
-        from ..pipeline.spec import SessionSpec
-
-        checkpoint_path = self.paths.checkpoint_path(job.job_id)
-        if checkpoint_path.exists():
-            try:
-                runner = resume_from_file(
-                    checkpoint_path,
-                    max_events=self.config.max_slice_events)
-            except CheckpointError as exc:
-                self._count("service.checkpoints_invalid")
-                self._journal_op(
-                    "checkpoint_invalid", job_id=job.job_id,
-                    error_type=type(exc).__name__,
-                    error_message=str(exc))
-                checkpoint_path.unlink(missing_ok=True)
-            else:
-                self._count("service.resumes")
-                self._journal_op("job_resumed", job_id=job.job_id,
-                                 sim_time_s=runner.now)
-                return runner
-        spec = SessionSpec.from_json_dict(job.spec)
-        return SessionRunner(spec.to_config())
-
-    def _park(self, job: JobRequest, runner: SessionRunner) -> None:
-        """Checkpoint an in-flight job for the next service start."""
-        try:
-            runner.save_checkpoint(
-                self.paths.checkpoint_path(job.job_id),
-                job_id=job.job_id)
-        except CheckpointError:
-            # Not spec-expressible (cannot happen for spooled jobs,
-            # which by construction came from a spec) — parking just
-            # means a from-scratch restart.
-            pass
-        self._count("service.jobs_parked")
-        self._journal_op("job_parked", job_id=job.job_id,
-                         sim_time_s=runner.now)
 
     def _terminalize(self, *, job_id: str,
                      status: str, error: BaseException,
@@ -705,9 +577,9 @@ class SessionService:
         self._refresh_gauges()
         return {
             "schema": HEALTH_SCHEMA,
-            "state": state or ("draining" if self._draining
+            "state": state or ("draining" if self._stop_requested
                                else "running"),
-            "ready": not self._draining,
+            "ready": not self._stop_requested,
             "written_unix": round(time.time(), 6),
             "health_period_s": self.config.health_period_s,
             **self.status_summary(),
@@ -730,8 +602,7 @@ def service_status(state_dir: PathLike) -> Dict[str, Any]:
     """Status assembled from the state directory alone.
 
     Job states derive from the durable artifacts: a result file is
-    terminal, a checkpoint without a result is ``parked``, a job file
-    with neither is ``pending``.  The latest ``health.json`` snapshot
+    terminal, a job file without one is ``pending``.  The latest ``health.json`` snapshot
     (if any) rides along — it may be stale if no service is running.
     """
     paths = ServicePaths(state_dir)
@@ -750,8 +621,6 @@ def service_status(state_dir: PathLike) -> Dict[str, Any]:
             failure = result.get("failure")
             if isinstance(failure, dict):
                 entry["error_type"] = failure.get("error_type")
-        elif paths.checkpoint_path(job_id).exists():
-            entry["status"] = "parked"
         else:
             entry["status"] = JobStatus.PENDING
         jobs[job_id] = entry
@@ -768,8 +637,7 @@ def service_status(state_dir: PathLike) -> Dict[str, Any]:
         "counts": {
             status: sum(1 for entry in jobs.values()
                         if entry["status"] == status)
-            for status in ("pending", "parked", "done", "failed",
-                           "rejected")},
+            for status in ("pending", "done", "failed", "rejected")},
         "journal": {"records": len(journal_state.records),
                     "torn_tail": journal_state.torn_tail,
                     "bad_lines": journal_state.bad_lines},
@@ -813,18 +681,3 @@ def _health_staleness(paths: ServicePaths,
              and age_s > 2.0 * float(period))
     return age_s, stale
 
-
-def request_drain(state_dir: PathLike) -> pathlib.Path:
-    """Drop the drain marker: finish everything, then exit."""
-    paths = ServicePaths(state_dir).ensure()
-    marker = paths.drain_marker()
-    marker.touch()
-    return marker
-
-
-def request_stop(state_dir: PathLike) -> pathlib.Path:
-    """Drop the stop marker: park in-flight jobs and exit now."""
-    paths = ServicePaths(state_dir).ensure()
-    marker = paths.stop_marker()
-    marker.touch()
-    return marker

@@ -16,7 +16,7 @@ component), but it does not need to be: a checkpoint is the session's
 plus a digest of the observable state.  Resuming rebuilds the pipeline
 from the spec and deterministically replays to the checkpointed time;
 the digest then *proves* the replayed state matches what was
-checkpointed (wrong code version, tampered file, non-deterministic
+checkpointed (wrong code version, tampered document, non-deterministic
 config — anything that diverges fails the digest and raises
 :class:`~repro.errors.CheckpointError` instead of silently producing
 wrong results).  Because the resumed heap state equals the
@@ -24,49 +24,41 @@ uninterrupted run's heap state, the final summary is byte-identical —
 the property ``tests/test_checkpoint.py`` pins at every frame
 boundary.
 
-Checkpoint document (``repro-checkpoint/1``, written atomically)::
+Checkpoint document (``repro-checkpoint/1``, held in memory)::
 
     {
       "schema": "repro-checkpoint/1",
       "spec": { ... SessionSpec document ... },
       "sim_time_s": 12.35,
       "events_processed": 48211,
-      "digest": "sha256:...",
-      "job_id": "batch-007"          # optional service annotation
+      "digest": "sha256:..."
     }
 
 No wall-clock fields — the same session checkpointed at the same sim
-time produces the same bytes.
+time produces the same document.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import pathlib
 import struct
 from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 import numpy as np
 
 from ..errors import CheckpointError, SimulationError
-from ..ioutil import atomic_write_json
 from ..pipeline.builder import SessionBuilder, finalize_telemetry
 from .fastforward import FastForward
 
 if TYPE_CHECKING:
     from .session import SessionConfig, SessionResult
 
-PathLike = Union[str, pathlib.Path]
-
 #: Schema tag of checkpoint documents.
 CHECKPOINT_SCHEMA = "repro-checkpoint/1"
 
-#: Keys a checkpoint document must carry.
+#: Keys a checkpoint document carries, no more and no fewer.
 _REQUIRED_KEYS = ("schema", "spec", "sim_time_s", "events_processed",
                   "digest")
-#: Keys a checkpoint document may carry.
-_ALLOWED_KEYS = _REQUIRED_KEYS + ("job_id",)
 
 
 class SessionRunner:
@@ -302,8 +294,7 @@ class SessionRunner:
                                       dtype="<f8").tobytes())
         return "sha256:" + sha.hexdigest()
 
-    def checkpoint_document(
-            self, job_id: Optional[str] = None) -> Dict[str, Any]:
+    def checkpoint_document(self) -> Dict[str, Any]:
         """The ``repro-checkpoint/1`` document for the current state.
 
         Requires a spec-expressible config (the checkpoint must carry
@@ -334,25 +325,17 @@ class SessionRunner:
                 "session spec does not round-trip; refusing to "
                 "checkpoint a config that cannot be rebuilt",
                 context={"subsystem": "checkpoint"})
-        document: Dict[str, Any] = {
+        return {
             "schema": CHECKPOINT_SCHEMA,
             "spec": spec.to_json_dict(),
             "sim_time_s": self.now,
             "events_processed": self.sim.events_processed,
             "digest": self.state_digest(),
         }
-        if job_id is not None:
-            document["job_id"] = job_id
-        return document
-
-    def save_checkpoint(self, path: PathLike,
-                        job_id: Optional[str] = None) -> pathlib.Path:
-        """Write the checkpoint document atomically to ``path``."""
-        return atomic_write_json(path, self.checkpoint_document(job_id))
 
 
 # ----------------------------------------------------------------------
-# Checkpoint documents: validate / load / resume
+# Checkpoint documents: validate / resume
 # ----------------------------------------------------------------------
 def validate_checkpoint(document: Any,
                         where: str = "checkpoint") -> Dict[str, Any]:
@@ -377,7 +360,7 @@ def validate_checkpoint(document: Any,
             context={"subsystem": "checkpoint", "where": where,
                      "schema": schema})
     missing = [key for key in _REQUIRED_KEYS if key not in document]
-    unknown = [key for key in document if key not in _ALLOWED_KEYS]
+    unknown = [key for key in document if key not in _REQUIRED_KEYS]
     if missing or unknown:
         raise CheckpointError(
             f"{where}: missing keys {missing}, unknown keys {unknown}",
@@ -402,32 +385,6 @@ def validate_checkpoint(document: Any,
             f"{where}: 'digest' must be a 'sha256:<hex>' string",
             context={"subsystem": "checkpoint", "where": where})
     return document
-
-
-def load_checkpoint(path: PathLike) -> Dict[str, Any]:
-    """Read and validate a checkpoint file.
-
-    Unreadable files, JSON syntax errors and schema violations all
-    raise :class:`~repro.errors.CheckpointError` with the path in
-    context — the caller's recovery policy (restart from scratch) is
-    the same for every flavour of corruption.
-    """
-    path = pathlib.Path(path)
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CheckpointError(
-            f"cannot read checkpoint {path}: {exc}",
-            context={"subsystem": "checkpoint",
-                     "path": str(path)}) from None
-    try:
-        document = json.loads(text)
-    except ValueError as exc:
-        raise CheckpointError(
-            f"checkpoint {path} is not valid JSON: {exc}",
-            context={"subsystem": "checkpoint",
-                     "path": str(path)}) from None
-    return validate_checkpoint(document, where=str(path))
 
 
 def resume_runner(document: Dict[str, Any],
@@ -480,8 +437,3 @@ def resume_runner(document: Dict[str, Any],
                      "recorded": document["digest"]})
     return runner
 
-
-def resume_from_file(path: PathLike,
-                     max_events: Optional[int] = None) -> SessionRunner:
-    """:func:`load_checkpoint` + :func:`resume_runner` in one step."""
-    return resume_runner(load_checkpoint(path), max_events=max_events)

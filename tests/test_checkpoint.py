@@ -1,12 +1,14 @@
 """Checkpoint/resume round-trip tests (`repro.sim.runner`).
 
-The core property the durable service rests on: a session killed at
-*any* frame boundary and resumed from its checkpoint produces a
-summary byte-identical to an uninterrupted run.  The checkpoint
-carries no simulator state — only the spec, the resume point, and a
-state digest — so the property holds exactly when deterministic
-replay holds; these tests sweep every boundary of a short session to
-pin that down, for plain, faulted, and pooled execution.
+The core property: a session paused at *any* frame boundary and
+resumed from its in-memory checkpoint document produces a summary
+byte-identical to an uninterrupted run.  The checkpoint carries no
+simulator state — only the spec, the resume point, and a state
+digest — so the property holds exactly when deterministic replay
+holds; these tests sweep every boundary of a short session to pin
+that down, for plain, faulted, and pooled execution.  Validation is
+strict, and a document whose digest or event count lies fails to
+resume.
 
 Configs stay untelemetered: telemetry spans carry wall-clock times,
 which are the one legitimately nondeterministic output.
@@ -21,10 +23,7 @@ from repro.faults.plan import FaultPlan
 from repro.pipeline.spec import SessionSpec
 from repro.sim.batch import run_batch, summarize_result
 from repro.sim.runner import (
-    CHECKPOINT_SCHEMA,
     SessionRunner,
-    load_checkpoint,
-    resume_from_file,
     resume_runner,
     validate_checkpoint,
 )
@@ -80,19 +79,6 @@ class TestEveryFrameBoundary:
 
 
 class TestCheckpointFiles:
-    def test_save_and_resume_from_file(self, tmp_path):
-        config = _config()
-        reference = _summary_bytes(run_session(config))
-        runner = SessionRunner(config)
-        runner.advance(0.25)
-        path = tmp_path / "ckpt.json"
-        runner.save_checkpoint(path, job_id="j1")
-        document = load_checkpoint(path)
-        assert document["schema"] == CHECKPOINT_SCHEMA
-        assert document["job_id"] == "j1"
-        resumed = resume_from_file(path)
-        assert _summary_bytes(resumed.finish()) == reference
-
     def test_checkpoint_has_no_wall_clock_fields(self):
         runner = SessionRunner(_config())
         runner.advance(0.1)
@@ -115,22 +101,6 @@ class TestCheckpointValidation:
         runner = SessionRunner(_config())
         runner.advance(0.1)
         return runner.checkpoint_document()
-
-    def test_garbage_file_raises(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_bytes(b"\x82\xa3not json at all")
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
-
-    def test_truncated_file_raises(self, tmp_path):
-        runner = SessionRunner(_config())
-        runner.advance(0.1)
-        path = tmp_path / "ckpt.json"
-        runner.save_checkpoint(path)
-        data = path.read_bytes()
-        path.write_bytes(data[:len(data) // 2])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
 
     def test_missing_key_rejected(self):
         document = self._document()

@@ -32,6 +32,12 @@ COMMAND_SOURCES = sorted(
     + list((REPO_ROOT / "docs").glob("*.md")) + EXAMPLES)
 
 
+def _fenced_blocks(text: str) -> list:
+    """The bodies of the ```-fenced code blocks in a markdown text."""
+    return re.findall(r"^[ \t]*```[^\n]*\n(.*?)^[ \t]*```", text,
+                      re.M | re.S)
+
+
 def _subcommands(parser) -> dict:
     """``{name: subparser}`` of an argparse parser (empty if none)."""
     import argparse
@@ -165,15 +171,21 @@ class TestDocumentation:
             assert module.__doc__, module_name
 
     def test_docs_and_ci_name_only_live_subcommands(self):
+        # `python -m repro <sub>` and `` `repro <sub> `` anywhere, and
+        # a line of a fenced code block that starts with `repro <sub>`.
         from repro.cli import build_parser
         live = set(_subcommands(build_parser()))
         pattern = re.compile(
             r"(?:python -m repro|`repro)\s+([a-z][a-z0-9-]*)")
-        stale = [
-            f"{path.relative_to(REPO_ROOT)}: repro {word}"
-            for path in COMMAND_SOURCES
-            for word in pattern.findall(path.read_text())
-            if word not in live]
+        fenced = re.compile(r"^[ \t]*repro[ \t]+([a-z][a-z0-9-]*)", re.M)
+        stale = []
+        for path in COMMAND_SOURCES:
+            text = path.read_text()
+            words = pattern.findall(text) + [
+                word for block in _fenced_blocks(text)
+                for word in fenced.findall(block)]
+            stale += [f"{path.relative_to(REPO_ROOT)}: repro {word}"
+                      for word in words if word not in live]
         assert not stale, stale
 
     def test_docs_and_ci_name_only_live_options(self):

@@ -2,8 +2,8 @@
 
 Covers the append-only journal, then the service itself run in-process
 with ``until_idle``: correct byte-identical summaries, structured
-failure records, rejected job files, retry exhaustion, deadlines,
-park-on-shutdown and resume.
+failure records, rejected job files, retry exhaustion, deadlines, and
+a job stopped mid-run that the next start reruns from its spec.
 
 Byte-identity assertions always compare against an uninterrupted
 in-process :func:`run_session` of the same spec; configs stay
@@ -16,11 +16,7 @@ import json
 import pytest
 
 from repro.analysis.export import json_sanitize
-from repro.errors import (
-    JournalError,
-    ServiceError,
-    ServiceUnavailableError,
-)
+from repro.errors import JournalError, ServiceError
 from repro.ioutil import atomic_write_json
 from repro.pipeline.spec import SessionSpec
 from repro.service import (
@@ -34,12 +30,11 @@ from repro.service import (
     submit_job,
 )
 from repro.service.jobs import load_result, write_result
+from repro.service.journal import KNOWN_OPS
 from repro.service.service import (
     backoff_delay_s,
     job_id_for_spec,
     next_submit_seq,
-    request_drain,
-    request_stop,
     service_status,
 )
 from repro.sim.batch import summarize_result
@@ -137,19 +132,24 @@ class TestJournal:
     def test_retired_op_still_reads(self, tmp_path):
         # Ops retired from KNOWN_OPS stay readable, and a reopened
         # journal keeps appending after them.
+        retired = ["breaker_open", "checkpoint_written",
+                   "checkpoint_invalid", "job_parked", "job_resumed"]
         path = tmp_path / "journal.jsonl"
-        path.write_text(
-            '{"op": "breaker_open", "seq": 0, "job_id": "j0"}\n')
+        path.write_text("".join(
+            json.dumps({"op": op, "seq": seq, "job_id": "j0"}) + "\n"
+            for seq, op in enumerate(retired)))
         state = read_journal(path)
-        assert state.count("breaker_open", job_id="j0") == 1
+        for op in retired:
+            assert op not in KNOWN_OPS
+            assert state.count(op, job_id="j0") == 1
         assert state.bad_lines == 0
         journal = Journal(path, fsync=False)
         record = journal.append("service_start")
         journal.close()
-        assert record["seq"] == 1
+        assert record["seq"] == len(retired)
         state = read_journal(path)
-        assert [r["op"] for r in state.records] == [
-            "breaker_open", "service_start"]
+        assert [r["op"] for r in state.records] == retired + [
+            "service_start"]
         assert state.bad_lines == 0
 
 
@@ -289,76 +289,62 @@ class TestServiceRuns:
         result = load_result(ServicePaths(tmp_path), "slow")
         assert result["failure"]["error_type"] == "TimeoutError"
 
-    def test_park_and_resume_is_byte_identical(self, tmp_path):
+    def test_stopped_job_reruns_byte_identical(self, tmp_path):
         spec = _spec(duration_s=6.0)
-        submit_job(tmp_path, _job("parkme", spec))
+        submit_job(tmp_path, _job("stopme", spec))
 
         async def serve_then_shutdown():
             config = ServiceConfig(
                 state_dir=str(tmp_path), workers=1,
-                slice_s=1.0, slice_sleep_s=0.01,
-                checkpoint_period_s=1.0, fsync_journal=False,
+                slice_s=1.0, slice_sleep_s=0.05, fsync_journal=False,
                 max_runtime_s=60.0)
             service = SessionService(config)
             task = asyncio.ensure_future(service.serve())
-            paths = ServicePaths(tmp_path)
+            # A worker yields only between slices, so an in-flight job
+            # seen here has run at least one slice.
             for _ in range(2000):
-                if paths.checkpoint_path("parkme").exists():
+                if service.in_flight:
                     break
-                await asyncio.sleep(0.01)
+                await asyncio.sleep(0.005)
+            assert service.in_flight == 1
             service.request_shutdown()
             return await task
 
         exit_summary = asyncio.run(serve_then_shutdown())
         paths = ServicePaths(tmp_path)
-        journal = read_journal(paths.journal_path)
-        assert journal.count("job_parked", job_id="parkme") == 1
-        assert load_result(paths, "parkme") is None
-        assert paths.checkpoint_path("parkme").exists()
+        assert load_result(paths, "stopme") is None
         assert exit_summary["jobs"]["pending"] >= 1
+        assert not (tmp_path / "checkpoints").exists()
 
-        # Second incarnation resumes the parked job to completion.
+        # The next start reruns the stopped job from its spec.
         _serve(tmp_path)
-        result = load_result(paths, "parkme")
+        result = load_result(paths, "stopme")
         assert result["status"] == JobStatus.DONE
         assert json.dumps(result["summary"], sort_keys=True) == \
             _expected_summary_bytes(spec)
         journal = read_journal(paths.journal_path)
-        assert journal.count("job_resumed", job_id="parkme") == 1
-        assert journal.count("job_done", job_id="parkme") == 1
-
-    def test_in_process_submit_rejected_while_draining(self, tmp_path):
-        config = ServiceConfig(state_dir=str(tmp_path),
-                               fsync_journal=False)
-        service = SessionService(config)
-        service.request_shutdown()
-        with pytest.raises(ServiceUnavailableError):
-            service.submit(_job("late", _spec()))
+        assert journal.count("attempt_start", job_id="stopme") == 2
+        assert journal.count("job_done", job_id="stopme") == 1
 
 
 class TestControlAndStatus:
-    def test_drain_and_stop_markers(self, tmp_path):
-        request_drain(tmp_path)
-        request_stop(tmp_path)
-        paths = ServicePaths(tmp_path)
-        assert paths.drain_marker().exists()
-        assert paths.stop_marker().exists()
-
     def test_offline_status_classifies_jobs(self, tmp_path):
         paths = ServicePaths(tmp_path).ensure()
         submit_job(tmp_path, _job("pending-job", _spec(), seq=0))
         submit_job(tmp_path, _job("done-job", _spec(seed=1), seq=1))
         write_result(paths, "done-job", JobStatus.DONE, {"summary": {}})
-        submit_job(tmp_path, _job("parked-job", _spec(seed=2), seq=2))
-        atomic_write_json(paths.checkpoint_path("parked-job"),
-                          {"schema": "repro-checkpoint/1"})
+        # Files an older version left in checkpoints/ and control/ are
+        # ignored: a job without a result is pending.
+        submit_job(tmp_path, _job("old-job", _spec(seed=2), seq=2))
+        for leftover in ("checkpoints/old-job.json", "control/stop"):
+            (tmp_path / leftover).parent.mkdir()
+            (tmp_path / leftover).write_text("{}")
         status = service_status(tmp_path)
         jobs = {j["job_id"]: j["status"] for j in status["jobs"]}
-        assert jobs["pending-job"] == "pending"
-        assert jobs["done-job"] == "done"
-        assert jobs["parked-job"] == "parked"
-        assert status["counts"]["pending"] == 1
-        assert status["counts"]["parked"] == 1
+        assert jobs == {"pending-job": "pending", "done-job": "done",
+                        "old-job": "pending"}
+        assert status["counts"] == {"pending": 2, "done": 1,
+                                    "failed": 0, "rejected": 0}
 
     def test_health_file_written(self, tmp_path):
         submit_job(tmp_path, _job("j0", _spec()))
@@ -368,6 +354,12 @@ class TestControlAndStatus:
         assert health["schema"] == "repro-health/1"
         assert health["state"] == "stopped"
         assert health["jobs"]["done"] == 1
+        # Each event is counted once, under its service.* name.
+        counters = health["metrics"]["counters"]
+        assert counters["service.attempts"] == 1
+        assert counters["service.jobs_done"] == 1
+        assert "worker.attempts" not in counters
+        assert "worker.jobs_done" not in counters
 
     def test_service_config_validation(self, tmp_path):
         with pytest.raises(ServiceError):
